@@ -13,7 +13,6 @@ gradient checks can separate method error from rounding error.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, NumericalError
 
@@ -308,7 +307,9 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor | None = None,
 
     ``x`` is (C_in, X, Y, Z), ``w`` is (C_out, C_in, kx, ky, kz), ``b`` is
     (C_out,). Output spatial size per axis is floor((n + 2 pad - k)/stride)+1.
-    Backward requires pad <= k - 1, which every architecture here satisfies.
+    Forward is one matrix product of the flattened kernel with the patch
+    matrix (im2col); so are both backward products. Backward requires
+    pad <= k - 1, which every architecture here satisfies.
     """
     if x.data.ndim != 4 or w.data.ndim != 5:
         raise InputError("conv3d expects x (C,X,Y,Z) and w (O,C,kx,ky,kz)")
@@ -326,30 +327,33 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor | None = None,
         if n + 2 * pad < k:
             raise InputError(f"kernel {k} larger than padded extent {n + 2 * pad}")
 
+    kernel = (k1, k2, k3)
+    out_dims = tuple((n + 2 * pad - k) // stride + 1 for n, k in zip((xs, ys, zs), kernel))
     xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (pad, pad)))
-    win = sliding_window_view(xp, (k1, k2, k3), axis=(1, 2, 3))[:, ::stride, ::stride, ::stride]
-    y = np.einsum("cxyzijl,ocijl->oxyz", win, w.data, optimize=True)
+    w2 = w.data.reshape(c_out, -1)
+    y = (w2 @ _patches(xp, kernel, stride, out_dims)).reshape((c_out,) + out_dims)
     if b is not None:
         y = y + b.data[:, None, None, None]
 
     def back(g):
-        grad_w = np.einsum("cxyzijl,oxyz->ocijl", win, g, optimize=True)
+        g2 = g.reshape(c_out, -1)
+        # the patch matrix is rebuilt rather than kept alive on the tape
+        grad_w = (g2 @ _patches(xp, kernel, stride, out_dims).T).reshape(w.data.shape)
         grad_b = None if b is None else g.sum(axis=(1, 2, 3))
-        # transposed convolution for grad_x: dilate by stride, pad by k-1,
-        # append the remainder columns no window covered, flip the kernel
-        ox, oy, oz = g.shape[1:]
-        gd = np.zeros((c_out, (ox - 1) * stride + 1, (oy - 1) * stride + 1,
-                       (oz - 1) * stride + 1), dtype=g.dtype)
-        gd[:, ::stride, ::stride, ::stride] = g
-        rem = [(n + 2 * pad - k) % stride for n, k in zip((xs, ys, zs), (k1, k2, k3))]
-        gp = np.pad(gd, ((0, 0),
-                         (k1 - 1, k1 - 1 + rem[0]),
-                         (k2 - 1, k2 - 1 + rem[1]),
-                         (k3 - 1, k3 - 1 + rem[2])))
-        w_flip = w.data.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1]
-        wing = sliding_window_view(gp, (k1, k2, k3), axis=(1, 2, 3))
-        gx_full = np.einsum("oxyzijl,coijl->cxyz", wing, w_flip, optimize=True)
-        grad_x = gx_full[:, pad:pad + xs, pad:pad + ys, pad:pad + zs]
+        if stride == 1:
+            # full correlation of g with the flipped, channel-transposed kernel
+            gp = np.pad(g, ((0, 0),) + tuple((k - 1 - pad, k - 1 - pad) for k in kernel))
+            w_flip = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+            grad_x = (w_flip.reshape(c_in, -1) @ _patches(gp, kernel, 1, (xs, ys, zs))
+                      ).reshape(c_in, xs, ys, zs)
+        else:
+            # scatter each kernel offset's share back through the strided
+            # slices it was read from; uncovered remainder voxels stay zero
+            cols = (w2.T @ g2).reshape((c_in,) + kernel + out_dims)
+            gxp = np.zeros_like(xp, dtype=cols.dtype)
+            for off in np.ndindex(*kernel):
+                gxp[_window(off, stride, out_dims)] += cols[(slice(None),) + off]
+            grad_x = gxp[:, pad:pad + xs, pad:pad + ys, pad:pad + zs]
         if b is None:
             return grad_x, grad_w
         return grad_x, grad_w, grad_b
@@ -358,16 +362,49 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor | None = None,
     return _node(y, parents, back)
 
 
+def _window(offset, stride: int, out_dims) -> tuple:
+    """Slices of a padded (C, X, Y, Z) array read by one kernel offset."""
+    return (slice(None),) + tuple(slice(o, o + stride * (n - 1) + 1, stride)
+                                  for o, n in zip(offset, out_dims))
+
+
+def _patches(xp: np.ndarray, kernel, stride: int, out_dims) -> np.ndarray:
+    """Patch matrix (C*k1*k2*k3, ox*oy*oz) of a padded (C, X, Y, Z) array.
+
+    Rows follow the (c, i, j, l) order of ``w.reshape(C_out, -1)``, so a
+    convolution is one matrix product; one strided copy per kernel offset.
+    """
+    cols = np.empty((xp.shape[0],) + tuple(kernel) + tuple(out_dims), dtype=xp.dtype)
+    for off in np.ndindex(*kernel):
+        cols[(slice(None),) + off] = xp[_window(off, stride, out_dims)]
+    return cols.reshape(-1, int(np.prod(out_dims)))
+
+
 def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-channel normalization over the spatial axes with learned affine.
 
-    gamma/beta are (C, 1, 1, 1) so the broadcast machinery handles them.
+    gamma/beta are (C, 1, 1, 1). One tape node: with x_hat the normalized
+    input, ``inv`` = 1/sqrt(var + eps) and g_hat = g * gamma, the input
+    gradient is inv * (g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat)).
     """
-    mu = tmean(x, axis=(1, 2, 3), keepdims=True)
-    centered = sub(x, mu)
-    var = tmean(mul(centered, centered), axis=(1, 2, 3), keepdims=True)
-    inv = div(_as_tensor(1.0, x), sqrt(add(var, _as_tensor(eps, x))))
-    return add(mul(mul(centered, inv), gamma), beta)
+    axes = (1, 2, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # non-finite results are caught by the node check
+        mu = x.data.mean(axis=axes, keepdims=True)
+        centered = x.data - mu
+        var = (centered * centered).mean(axis=axes, keepdims=True)
+        inv = 1.0 / np.sqrt(var + eps)
+        x_hat = centered * inv
+        out = x_hat * gamma.data + beta.data
+
+    def back(g):
+        g_hat = g * gamma.data
+        grad_x = inv * (g_hat - g_hat.mean(axis=axes, keepdims=True)
+                        - x_hat * (g_hat * x_hat).mean(axis=axes, keepdims=True))
+        return (grad_x, _unbroadcast(g * x_hat, gamma.data.shape),
+                _unbroadcast(g, beta.data.shape))
+
+    return _node(out, (x, gamma, beta), back)
 
 
 def numeric_gradient(f, tensor: Tensor, indices, h: float) -> np.ndarray:

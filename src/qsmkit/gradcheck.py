@@ -34,7 +34,7 @@ OPS = (
     "add", "sub", "mul", "div", "neg", "absolute", "sqrt", "cos",
     "tsum", "tmean", "leaky_relu", "concat", "nn_upsample", "shift_diff",
     "spectral_filter", "conv3d", "conv3d_strided", "instance_norm",
-    "broadcast_affine",
+    "broadcast_affine", "conv3d_padded_strided",
 )
 
 LOSSES = ("cycle", "lsgan_d", "lsgan_g", "grad_diff", "tv", "dip")
@@ -150,6 +150,15 @@ def build_case(op: str, rng: np.random.Generator,
         b = Tensor(_u(rng, (2,), -0.5, 0.5, dtype), requires_grad=True)
         wo = _u(rng, (2, 2, 2, 1), -1.0, 1.0, dtype)
         return lambda: _wsum(ad.conv3d(x, w, b, stride=2, pad=0), wo), [x, w, b]
+
+    if op == "conv3d_padded_strided":
+        # the discriminator's k4 s2 p1 layer; the y axis leaves a remainder,
+        # so the scattered input gradient must be cropped correctly
+        x = Tensor(_u(rng, (2, 6, 5, 4), -1.0, 1.0, dtype), requires_grad=True)
+        w = Tensor(_u(rng, (2, 2, 4, 4, 4), -0.5, 0.5, dtype), requires_grad=True)
+        b = Tensor(_u(rng, (2,), -0.5, 0.5, dtype), requires_grad=True)
+        wo = _u(rng, (2, 3, 2, 2), -1.0, 1.0, dtype)
+        return lambda: _wsum(ad.conv3d(x, w, b, stride=2, pad=1), wo), [x, w, b]
 
     if op == "instance_norm":
         x = Tensor(_u(rng, (3, 4, 4, 4), -1.0, 1.0, dtype), requires_grad=True)

@@ -2,11 +2,14 @@
 central differences, and the bookkeeping rules (liveness, accumulation,
 finite checks)."""
 
+import warnings
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from qsmkit import autodiff as ad
-from qsmkit.autodiff import Tensor, backward, check_gradients, zero_grads
+from qsmkit.autodiff import Tensor, _node, backward, check_gradients, zero_grads
 from qsmkit.dipole import apply_spectrum, build_dipole
 from qsmkit.errors import InputError, NumericalError
 from qsmkit.gradcheck import F32_TOL, F64_TOL, OPS, build_case
@@ -196,6 +199,147 @@ class TestConvForward:
             ad.conv3d(x, Tensor(np.zeros((3, 2, 5, 5, 5))))  # kernel too large
         with pytest.raises(InputError):
             ad.conv3d(x, w, Tensor(np.zeros(4)))  # bias shape
+
+
+def conv3d_einsum(x: Tensor, w: Tensor, b: Tensor | None = None,
+                  stride: int = 1, pad: int = 0) -> Tensor:
+    """The original einsum-over-sliding-windows conv3d, kept as an oracle for
+    the patch-matrix op (forward and all three gradients)."""
+    c_in, xs, ys, zs = x.data.shape
+    c_out, c_in_w, k1, k2, k3 = w.data.shape
+
+    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (pad, pad)))
+    win = sliding_window_view(xp, (k1, k2, k3), axis=(1, 2, 3))[:, ::stride, ::stride, ::stride]
+    y = np.einsum("cxyzijl,ocijl->oxyz", win, w.data, optimize=True)
+    if b is not None:
+        y = y + b.data[:, None, None, None]
+
+    def back(g):
+        grad_w = np.einsum("cxyzijl,oxyz->ocijl", win, g, optimize=True)
+        grad_b = None if b is None else g.sum(axis=(1, 2, 3))
+        # transposed convolution for grad_x: dilate by stride, pad by k-1,
+        # append the remainder columns no window covered, flip the kernel
+        ox, oy, oz = g.shape[1:]
+        gd = np.zeros((c_out, (ox - 1) * stride + 1, (oy - 1) * stride + 1,
+                       (oz - 1) * stride + 1), dtype=g.dtype)
+        gd[:, ::stride, ::stride, ::stride] = g
+        rem = [(n + 2 * pad - k) % stride for n, k in zip((xs, ys, zs), (k1, k2, k3))]
+        gp = np.pad(gd, ((0, 0),
+                         (k1 - 1, k1 - 1 + rem[0]),
+                         (k2 - 1, k2 - 1 + rem[1]),
+                         (k3 - 1, k3 - 1 + rem[2])))
+        w_flip = w.data.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1]
+        wing = sliding_window_view(gp, (k1, k2, k3), axis=(1, 2, 3))
+        gx_full = np.einsum("oxyzijl,coijl->cxyz", wing, w_flip, optimize=True)
+        grad_x = gx_full[:, pad:pad + xs, pad:pad + ys, pad:pad + zs]
+        if b is None:
+            return grad_x, grad_w
+        return grad_x, grad_w, grad_b
+
+    parents = (x, w) if b is None else (x, w, b)
+    return _node(y, parents, back)
+
+
+def instance_norm_composite(x: Tensor, gamma: Tensor, beta: Tensor,
+                            eps: float = 1e-5) -> Tensor:
+    """The original ten-node instance_norm, kept as an oracle for the fused op."""
+    mu = ad.tmean(x, axis=(1, 2, 3), keepdims=True)
+    centered = ad.sub(x, mu)
+    var = ad.tmean(ad.mul(centered, centered), axis=(1, 2, 3), keepdims=True)
+    inv = ad.div(ad._as_tensor(1.0, x), ad.sqrt(ad.add(var, ad._as_tensor(eps, x))))
+    return ad.add(ad.mul(ad.mul(centered, inv), gamma), beta)
+
+
+def _assert_close(got: np.ndarray, want: np.ndarray, rtol: float) -> None:
+    """Relative agreement, with an absolute floor at rtol times the array's
+    scale for entries that cancel to near zero."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    scale = float(np.abs(want).max(initial=0.0))
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * scale)
+
+
+class TestConvOracle:
+    """The patch-matrix conv3d against the einsum oracle, forward and every
+    gradient, in float64."""
+
+    @pytest.mark.parametrize("x_shape,w_shape,stride,pad,with_bias", [
+        # the (stride, pad, k, bias) configs of TestConvForward
+        ((2, 6, 5, 4), (3, 2, 3, 3, 3), 1, 0, True),
+        ((2, 6, 5, 4), (3, 2, 3, 3, 3), 1, 1, True),
+        ((2, 6, 5, 4), (3, 2, 3, 3, 3), 1, 2, True),
+        ((2, 6, 5, 4), (3, 2, 3, 3, 3), 2, 1, False),
+        ((2, 6, 5, 4), (3, 2, 3, 3, 3), 2, 0, True),
+        ((2, 6, 5, 4), (3, 2, 1, 1, 1), 1, 0, True),
+        ((2, 6, 5, 4), (3, 2, 4, 4, 4), 2, 1, True),
+        ((2, 6, 5, 4), (3, 2, 2, 2, 2), 3, 0, True),
+        # the network's own layers at small channel counts
+        ((2, 8, 8, 8), (3, 2, 4, 4, 4), 2, 1, True),   # discriminator layer
+        ((3, 2, 2, 2), (1, 3, 4, 4, 4), 1, 1, True),   # discriminator head
+        ((2, 8, 8, 8), (3, 2, 3, 3, 3), 2, 1, True),   # generator down
+        ((3, 6, 6, 6), (1, 3, 1, 1, 1), 1, 0, True),   # generator head
+    ], ids=["k3s1p0", "k3s1p1", "k3s1p2", "k3s2p1-nobias", "k3s2p0", "k1s1p0",
+            "k4s2p1", "k2s3p0", "disc-layer", "disc-head", "gen-down", "gen-head"])
+    def test_matches_einsum(self, x_shape, w_shape, stride, pad, with_bias):
+        rng = np.random.default_rng([stride, pad, w_shape[2], x_shape[1]])
+        leaves = [rng.normal(size=x_shape), rng.normal(size=w_shape)]
+        if with_bias:
+            leaves.append(rng.normal(size=w_shape[0]))
+
+        def run(op):
+            ts = [Tensor(a, requires_grad=True, dtype=np.float64) for a in leaves]
+            out = op(*ts[:2], ts[2] if with_bias else None, stride=stride, pad=pad)
+            g = np.random.default_rng(1).normal(size=out.shape)
+            return out, out._backward(g)
+
+        got, got_grads = run(ad.conv3d)
+        want, want_grads = run(conv3d_einsum)
+        _assert_close(got.data, want.data, 1e-12)
+        assert len(got_grads) == len(want_grads) == len(leaves)
+        for gg, wg in zip(got_grads, want_grads):
+            _assert_close(np.asarray(gg), np.asarray(wg), 1e-12)
+
+
+class TestInstanceNormOracle:
+    """The one-node instance_norm against the composite oracle."""
+
+    @staticmethod
+    def _leaves(dtype, constant_channel: bool):
+        rng = np.random.default_rng(12)
+        x = rng.normal(1.5, 2.0, size=(3, 5, 4, 3))
+        if constant_channel:
+            x[1] = 4.0  # var = 0
+        gamma = rng.uniform(0.5, 1.5, size=(3, 1, 1, 1))
+        beta = rng.uniform(-0.5, 0.5, size=(3, 1, 1, 1))
+        return [Tensor(a, requires_grad=True, dtype=dtype) for a in (x, gamma, beta)]
+
+    @pytest.mark.parametrize("constant_channel", [False, True])
+    @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_matches_composite(self, dtype, rtol, constant_channel):
+        g = np.random.default_rng(13).normal(size=(3, 5, 4, 3)).astype(dtype)
+        results = []
+        for op in (ad.instance_norm, instance_norm_composite):
+            leaves = self._leaves(dtype, constant_channel)
+            out = op(*leaves)
+            backward(ad.tsum(ad.mul(out, Tensor(g))))
+            results.append([out.data] + [t.grad for t in leaves])
+        for got, want in zip(*results):
+            _assert_close(got, want, rtol)
+
+    def test_single_node_with_three_parents(self):
+        x, gamma, beta = self._leaves(np.float32, False)
+        out = ad.instance_norm(x, gamma, beta)
+        assert len(out._parents) == 3
+        assert all(p is q for p, q in zip(out._parents, (x, gamma, beta)))
+
+    def test_nonfinite_raises_without_warning(self):
+        x = Tensor(np.full((1, 2, 2, 2), 3e38, dtype=np.float32))
+        x.data[0, 0] = -3e38
+        ones = Tensor(np.ones((1, 1, 1, 1), dtype=np.float32))
+        zeros = Tensor(np.zeros((1, 1, 1, 1), dtype=np.float32))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                ad.instance_norm(x, ones, zeros)
 
 
 class TestOpValues:
