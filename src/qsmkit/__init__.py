@@ -8,10 +8,9 @@ reverse-mode engine, per-volume deep-prior fitting, and evaluation metrics.
 __version__ = "0.1.0"
 
 from .errors import InputError, NumericalError, QsmError
-from .volume import ComplexVolume, Mask, RealVolume, VolumeMeta
+from .volume import Mask, RealVolume, VolumeMeta
 
 __all__ = [
-    "ComplexVolume",
     "InputError",
     "Mask",
     "NumericalError",

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dipole import apply_spectrum
 from .errors import InputError, NumericalError
+from .volume import forward_diff, forward_diff_adjoint
 
 DEFAULT_DTYPE = np.float32
 
@@ -262,24 +264,8 @@ def shift_diff(a: Tensor, axis: int) -> Tensor:
     """Forward difference along a spatial axis (0..2); last slice zero."""
     if axis not in (0, 1, 2):
         raise InputError(f"spatial axis must be 0..2, got {axis}")
-    ax = axis + 1
-    d = a.data
-    out = np.zeros_like(d)
-    head = [slice(None)] * 4
-    head[ax] = slice(0, d.shape[ax] - 1)
-    head = tuple(head)
-    tail = [slice(None)] * 4
-    tail[ax] = slice(1, d.shape[ax])
-    tail = tuple(tail)
-    out[head] = d[tail] - d[head]
-
-    def back(g):
-        gx = np.zeros_like(g)
-        gx[head] -= g[head]
-        gx[tail] += g[head]
-        return (gx,)
-
-    return _node(out, (a,), back)
+    return _node(forward_diff(a.data, axis + 1), (a,),
+                 lambda g: (forward_diff_adjoint(g, axis + 1),))
 
 
 def spectral_filter(a: Tensor, spectrum: np.ndarray) -> Tensor:
@@ -295,8 +281,7 @@ def spectral_filter(a: Tensor, spectrum: np.ndarray) -> Tensor:
     spec = spectrum.astype(a.data.dtype)
 
     def apply(arr):
-        hat = np.fft.fftn(arr, axes=(1, 2, 3))
-        return np.real(np.fft.ifftn(spec * hat, axes=(1, 2, 3))).astype(arr.dtype)
+        return apply_spectrum(arr, spec).astype(arr.dtype)
 
     return _node(apply(a.data), (a,), lambda g: (apply(g),))
 
@@ -340,7 +325,9 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor | None = None,
         # the patch matrix is rebuilt rather than kept alive on the tape
         grad_w = (g2 @ _patches(xp, kernel, stride, out_dims).T).reshape(w.data.shape)
         grad_b = None if b is None else g.sum(axis=(1, 2, 3))
-        if stride == 1:
+        if not x._live:
+            grad_x = None  # input data (first layer): backward() would drop it
+        elif stride == 1:
             # full correlation of g with the flipped, channel-transposed kernel
             gp = np.pad(g, ((0, 0),) + tuple((k - 1 - pad, k - 1 - pad) for k in kernel))
             w_flip = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)

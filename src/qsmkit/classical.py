@@ -13,7 +13,7 @@ import numpy as np
 
 from .dipole import DipoleKernel, apply_spectrum
 from .errors import InputError, NumericalError
-from .volume import Mask, RealVolume, VolumeMeta
+from .volume import Mask, RealVolume, forward_diff, forward_diff_adjoint
 
 log = logging.getLogger(__name__)
 
@@ -56,11 +56,6 @@ class MediWeights:
     m: tuple[Mask, Mask, Mask]
 
 
-def _check_grid(meta: VolumeMeta, kernel: DipoleKernel) -> None:
-    if meta != kernel.meta:
-        raise InputError("volume and kernel geometry differ")
-
-
 def tkd_invert(field: RealVolume, kernel: DipoleKernel,
                params: TkdParams = TkdParams()) -> RealVolume:
     """Thresholded k-space division.
@@ -68,32 +63,11 @@ def tkd_invert(field: RealVolume, kernel: DipoleKernel,
     The divisor keeps d where |d| > a and substitutes a * sign(d) elsewhere,
     with sign(0) taken as +1 so the cone itself divides by +a.
     """
-    _check_grid(field.meta, kernel)
+    kernel.require_grid(field.meta)
     d = kernel.spectrum
     sign = np.where(d >= 0.0, 1.0, -1.0)
     da = np.where(np.abs(d) > params.a, d, params.a * sign)
-    chihat = np.fft.fftn(field.data) / da
-    return RealVolume(field.meta, np.real(np.fft.ifftn(chihat)))
-
-
-def _axis_diff(arr: np.ndarray, axis: int) -> np.ndarray:
-    out = np.zeros_like(arr)
-    sl = [slice(None)] * 3
-    sl[axis] = slice(0, arr.shape[axis] - 1)
-    out[tuple(sl)] = np.diff(arr, axis=axis)
-    return out
-
-
-def _axis_diff_adjoint(arr: np.ndarray, axis: int) -> np.ndarray:
-    # transpose of _axis_diff: out[i] = arr[i-1] - arr[i] with clamped ends
-    out = np.zeros_like(arr)
-    body = [slice(None)] * 3
-    body[axis] = slice(0, arr.shape[axis] - 1)
-    shifted = [slice(None)] * 3
-    shifted[axis] = slice(1, arr.shape[axis])
-    out[tuple(body)] -= arr[tuple(body)]
-    out[tuple(shifted)] += arr[tuple(body)]
-    return out
+    return RealVolume(field.meta, apply_spectrum(field.data, 1.0 / da))
 
 
 def build_medi_weights(magnitude: RealVolume, edge_fraction: float = 0.3) -> MediWeights:
@@ -115,7 +89,7 @@ def build_medi_weights(magnitude: RealVolume, edge_fraction: float = 0.3) -> Med
     w = mag / np.mean(mag[support])
     masks = []
     for ax in range(3):
-        g = np.abs(_axis_diff(mag, ax))
+        g = np.abs(forward_diff(mag, ax))
         thr = np.quantile(g, 1.0 - edge_fraction)
         if thr == 0.0 and g.max() == 0.0:
             log.warning("constant magnitude along axis %d: edge mask is all ones", ax)
@@ -129,7 +103,7 @@ def _medi_objective(x: np.ndarray, b: np.ndarray, spec: np.ndarray,
     data = float(np.sum(w2 * resid * resid))
     reg = 0.0
     for ax in range(3):
-        g = _axis_diff(x, ax)
+        g = forward_diff(x, ax)
         reg += float(np.sum(m[ax] * np.sqrt(g * g + SMOOTH_EPS ** 2)))
     return data + lam * reg, data, lam * reg
 
@@ -143,7 +117,7 @@ def medi_invert(field: RealVolume, kernel: DipoleKernel, weights: MediWeights,
     objective trace non-increasing. Trace rows are
     (iteration, objective, data_term, reg_term).
     """
-    _check_grid(field.meta, kernel)
+    kernel.require_grid(field.meta)
     if weights.w.meta != field.meta:
         raise InputError("weights geometry differs from field")
     b = field.data
@@ -161,9 +135,9 @@ def medi_invert(field: RealVolume, kernel: DipoleKernel, weights: MediWeights,
         resid = apply_spectrum(x, spec) - b
         grad = 2.0 * apply_spectrum(w2 * resid, spec)
         for ax in range(3):
-            g = _axis_diff(x, ax)
+            g = forward_diff(x, ax)
             psi = m[ax] * g / np.sqrt(g * g + SMOOTH_EPS ** 2)
-            grad += lam * _axis_diff_adjoint(psi, ax)
+            grad += lam * forward_diff_adjoint(psi, ax)
         gnorm2 = float(np.sum(grad * grad))
         if gnorm2 == 0.0:
             break
@@ -195,7 +169,7 @@ def cg_least_squares(field: RealVolume, kernel: DipoleKernel,
     returned residual list holds ||W(b - Hx_k)||_2, which is non-increasing
     because each CG step minimizes it over a nested Krylov subspace.
     """
-    _check_grid(field.meta, kernel)
+    kernel.require_grid(field.meta)
     if iters < 1:
         raise InputError(f"iters must be >= 1, got {iters}")
     spec = kernel.spectrum

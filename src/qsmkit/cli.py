@@ -28,7 +28,7 @@ from .classical import (
     tkd_invert,
 )
 from .config import last_value, read_config, read_config_items
-from .dipole import build_dipole, forward_field, naive_inverse
+from .dipole import build_dipole, naive_inverse
 from .errors import InputError, NumericalError, QsmError
 from .gradcheck import F32_TOL, F64_TOL, LOSSES, OPS, run_suite
 from .losses import LossWeights
@@ -107,14 +107,14 @@ def _write_csv(path, header: list[str], rows) -> None:
 # ---------------------------------------------------------------- phantom
 
 
-PHANTOM_SCALARS = ("dims", "voxel_size", "b0_dir", "background_chi", "seed")
+PHANTOM_SCALARS = ("dims", "voxel_size", "b0_dir", "background_chi")
 
 
 def _phantom_spec(path: str) -> PhantomSpec:
     """Build a PhantomSpec from a key=value file.
 
-    Scalar keys: dims, voxel_size, b0_dir, background_chi, seed (last
-    assignment wins). Shape keys repeat and keep file order, later shapes
+    Scalar keys: dims, voxel_size, b0_dir, background_chi (last assignment
+    wins). Shape keys repeat and keep file order, later shapes
     overwriting earlier ones where they overlap:
       sphere = cx cy cz radius chi      (mm, mm, ppm)
       box    = cx cy cz ex ey ez chi    (corner, extents, ppm)
@@ -143,8 +143,7 @@ def _phantom_spec(path: str) -> PhantomSpec:
     return PhantomSpec(
         meta, tuple(shapes),
         background_chi=_convert(scalars.get("background_chi", "0"), float,
-                                "background_chi"),
-        seed=_convert(scalars.get("seed", "0"), int, "seed"))
+                                "background_chi"))
 
 
 def cmd_phantom(args) -> int:
@@ -160,28 +159,18 @@ def cmd_phantom(args) -> int:
 
 def cmd_forward(args) -> int:
     chi = read_volume(args.chi)
+    kernel = build_dipole(chi.meta)
     if args.kernel_out:
-        kernel = build_dipole(chi.meta)
         write_volume(RealVolume(chi.meta, kernel.spectrum), args.kernel_out)
-    if args.mask:
-        case = simulate_case(chi, read_mask(args.mask), args.noise_sigma,
-                             args.seed)
-        field = case.field
-        if args.mag_out:
-            write_volume(case.magnitude, args.mag_out)
-    else:
-        if args.mag_out:
-            raise InputError("--mag-out needs --mask (magnitude is the mask "
-                             "indicator)")
-        if args.noise_sigma < 0:
-            raise InputError(
-                f"noise_sigma must be >= 0, got {args.noise_sigma}")
-        field = forward_field(chi, build_dipole(chi.meta))
-        if args.noise_sigma > 0:
-            rng = np.random.default_rng(args.seed)
-            field = RealVolume(chi.meta, field.data + rng.normal(
-                0.0, args.noise_sigma, size=chi.meta.dims))
-    write_volume(field, args.out)
+    if args.mag_out and not args.mask:
+        raise InputError("--mag-out needs --mask (magnitude is the mask "
+                         "indicator)")
+    mask = (read_mask(args.mask) if args.mask
+            else Mask(chi.meta, np.ones(chi.meta.dims)))
+    case = simulate_case(chi, mask, args.noise_sigma, args.seed, kernel)
+    if args.mag_out:
+        write_volume(case.magnitude, args.mag_out)
+    write_volume(case.field, args.out)
     return 0
 
 
@@ -519,10 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "inversions, and evaluation.")
     parser.add_argument("--version", action="version",
                         version=f"qsmkit {__version__}")
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="worker fan-out; every current routine is single-threaded, so "
-             "values above 1 change nothing (default 1)")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="SUBCOMMAND")
 
@@ -532,11 +517,11 @@ def build_parser() -> argparse.ArgumentParser:
                                    "overwrite earlier ones.")
     p.add_argument("--spec", required=True,
                    help="key=value file: dims, voxel_size, b0_dir, "
-                        "background_chi, seed, and repeated sphere/box lines")
+                        "background_chi, and repeated sphere/box lines")
     p.add_argument("--out", required=True, help="output chi volume (DBV1)")
     p.add_argument("--mask-out",
                    help="also write the union of all shapes as a mask")
-    _add_seed(p, "unused; the --spec file's own seed governs")
+    _add_seed(p, "unused; rasterization is deterministic")
     p.set_defaults(func=cmd_phantom)
 
     p = sub.add_parser("forward", help="simulate the field of a chi volume",
@@ -722,9 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads < 1:
-        print("qsmkit: error: --threads must be >= 1", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except NumericalError as exc:

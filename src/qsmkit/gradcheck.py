@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import losses as ls
 from .autodiff import Tensor, check_gradients
-from .dipole import apply_spectrum, build_dipole
+from .dipole import apply_spectrum, build_dipole, k_mirror
 from .errors import InputError
 from .volume import VolumeMeta
 
@@ -55,8 +55,7 @@ def _wsum(t: Tensor, weights: np.ndarray) -> Tensor:
 
 def _even_spectrum(rng: np.random.Generator, dims) -> np.ndarray:
     s = rng.uniform(-0.7, 0.4, size=dims)
-    mirror = [(-np.arange(n)) % n for n in dims]
-    return 0.5 * (s + s[np.ix_(*mirror)])
+    return 0.5 * (s + k_mirror(s))
 
 
 def build_case(op: str, rng: np.random.Generator,

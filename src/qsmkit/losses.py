@@ -145,17 +145,34 @@ def _roundtrips(chi_batch, b_batch, gen, kernel, mag_batch):
     return chi_side, b_side
 
 
+def _cycle_term(chi_side, b_side, norm: str, mask_batch) -> Tensor:
+    chi_terms = [_norm_mean(_masked(ad.sub(chi, g), _m(mask_batch, i)), norm)
+                 for i, (chi, g) in enumerate(chi_side)]
+    b_terms = [_norm_mean(_masked(ad.sub(b, hg), _m(mask_batch, i)), norm)
+               for i, (b, _, hg) in enumerate(b_side)]
+    return ad.add(_batch_mean(chi_terms), _batch_mean(b_terms))
+
+
+def _grad_diff_term(chi_side, b_side, norm: str, mask_batch) -> Tensor:
+    chi_terms = [_grad_terms(ad.sub(chi, g), norm, _m(mask_batch, i))
+                 for i, (chi, g) in enumerate(chi_side)]
+    b_terms = [_grad_terms(ad.sub(b, hg), norm, _m(mask_batch, i))
+               for i, (b, _, hg) in enumerate(b_side)]
+    return ad.add(_batch_mean(chi_terms), _batch_mean(b_terms))
+
+
+def _tv_term(out_batch: list[Tensor], norm: str, mask_batch) -> Tensor:
+    return _batch_mean([_grad_terms(t, norm, _m(mask_batch, i))
+                        for i, t in enumerate(out_batch)])
+
+
 def cycle_loss(chi_batch: list[Tensor], b_batch: list[Tensor], gen,
                kernel: DipoleKernel, mag_batch: list[Tensor] | None = None,
                norm: str = "l1", mask_batch: list[Tensor] | None = None) -> Tensor:
     """chi -> H chi -> G round trip plus b -> G(b) -> H round trip."""
     _check_masks(mask_batch, chi_batch, b_batch)
     chi_side, b_side = _roundtrips(chi_batch, b_batch, gen, kernel, mag_batch)
-    chi_terms = [_norm_mean(_masked(ad.sub(chi, g), _m(mask_batch, i)), norm)
-                 for i, (chi, g) in enumerate(chi_side)]
-    b_terms = [_norm_mean(_masked(ad.sub(b, hg), _m(mask_batch, i)), norm)
-               for i, (b, _, hg) in enumerate(b_side)]
-    return ad.add(_batch_mean(chi_terms), _batch_mean(b_terms))
+    return _cycle_term(chi_side, b_side, norm, mask_batch)
 
 
 def lsgan_losses(disc: Discriminator, real_batch: list[Tensor],
@@ -189,19 +206,14 @@ def grad_diff_loss(chi_batch: list[Tensor], b_batch: list[Tensor], gen,
     """Finite-difference mismatch of both cycle branches, to keep edges."""
     _check_masks(mask_batch, chi_batch, b_batch)
     chi_side, b_side = _roundtrips(chi_batch, b_batch, gen, kernel, mag_batch)
-    chi_terms = [_grad_terms(ad.sub(chi, g), norm, _m(mask_batch, i))
-                 for i, (chi, g) in enumerate(chi_side)]
-    b_terms = [_grad_terms(ad.sub(b, hg), norm, _m(mask_batch, i))
-               for i, (b, _, hg) in enumerate(b_side)]
-    return ad.add(_batch_mean(chi_terms), _batch_mean(b_terms))
+    return _grad_diff_term(chi_side, b_side, norm, mask_batch)
 
 
 def tv_loss(out_batch: list[Tensor], norm: str = "l1",
             mask_batch: list[Tensor] | None = None) -> Tensor:
     """Anisotropic total variation of generator outputs, per-voxel mean."""
     _check_masks(mask_batch, out_batch)
-    return _batch_mean([_grad_terms(t, norm, _m(mask_batch, i))
-                        for i, t in enumerate(out_batch)])
+    return _tv_term(out_batch, norm, mask_batch)
 
 
 def total_generator_loss(chi_batch: list[Tensor], b_batch: list[Tensor], gen,
@@ -222,22 +234,10 @@ def total_generator_loss(chi_batch: list[Tensor], b_batch: list[Tensor], gen,
     loss_masks = mask_batch if mask_losses else None
     chi_side, b_side = _roundtrips(chi_batch, b_batch, gen, kernel, mag_batch)
 
-    chi_res = [_masked(ad.sub(chi, g), _m(loss_masks, i))
-               for i, (chi, g) in enumerate(chi_side)]
-    b_res = [_masked(ad.sub(b, hg), _m(loss_masks, i))
-             for i, (b, _, hg) in enumerate(b_side)]
-    cycle = ad.add(_batch_mean([_norm_mean(r, norm) for r in chi_res]),
-                   _batch_mean([_norm_mean(r, norm) for r in b_res]))
-
-    grad = ad.add(
-        _batch_mean([_grad_terms(ad.sub(chi, g), norm, _m(loss_masks, i))
-                     for i, (chi, g) in enumerate(chi_side)]),
-        _batch_mean([_grad_terms(ad.sub(b, hg), norm, _m(loss_masks, i))
-                     for i, (b, _, hg) in enumerate(b_side)]))
-
+    cycle = _cycle_term(chi_side, b_side, norm, loss_masks)
+    grad = _grad_diff_term(chi_side, b_side, norm, loss_masks)
     fakes = [g_b for (_, g_b, _) in b_side]
-    tv = _batch_mean([_grad_terms(g_b, norm, _m(loss_masks, i))
-                      for i, g_b in enumerate(fakes)])
+    tv = _tv_term(fakes, norm, loss_masks)
     gan_d, gan_g = lsgan_losses(disc, chi_batch, fakes, mask_batch)
 
     total = ad.add(ad.add(cycle * weights.gamma, gan_g * weights.gan),

@@ -38,7 +38,6 @@ class PhantomSpec:
     meta: VolumeMeta
     shapes: tuple[Shape, ...] = ()
     background_chi: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shapes", tuple(self.shapes))

@@ -418,8 +418,7 @@ def optimize_dip(field: RealVolume, magnitude: RealVolume | None,
     per-iteration objective trace.
     """
     meta = field.meta
-    if kernel.meta != meta:
-        raise InputError("kernel grid does not match the field volume")
+    kernel.require_grid(meta)
     if iters < 1:
         raise InputError(f"iters must be >= 1, got {iters}")
     if not (np.isfinite(lr) and lr > 0):

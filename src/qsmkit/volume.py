@@ -1,9 +1,13 @@
-"""3D volume containers, spectral/finite-difference operators, DBV1 file I/O.
+"""3D volume containers, the forward-difference operator pair, DBV1 file I/O.
 
 Arrays are indexed ``[x, y, z]`` with shape ``(nx, ny, nz)``. The serialized
 layout is x-fastest (a Fortran-order ravel of that indexing), so voxel
 ``(x, y, z)`` sits at flat offset ``x + nx*(y + ny*z)``. Physics paths run in
 float64 throughout; files store float32.
+
+``forward_diff`` and its adjoint are the package's only finite differences:
+the MEDI weights and regularizer and the autodiff ``shift_diff`` (TV and
+gradient-difference losses) all use them.
 """
 
 from __future__ import annotations
@@ -66,16 +70,6 @@ class VolumeMeta:
         return tuple(n * s for n, s in zip(self.dims, self.voxel_size))
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
-def _check_shape(meta: VolumeMeta, arr: np.ndarray) -> None:
-    if arr.shape != meta.dims:
-        raise InputError(f"data shape {arr.shape} does not match dims {meta.dims}")
-
-
 @dataclass(frozen=True)
 class RealVolume:
     """Immutable float64 scalar field on the grid described by ``meta``."""
@@ -85,25 +79,12 @@ class RealVolume:
 
     def __post_init__(self) -> None:
         arr = np.array(self.data, dtype=np.float64)
-        _check_shape(self.meta, arr)
+        if arr.shape != self.meta.dims:
+            raise InputError(f"data shape {arr.shape} does not match dims {self.meta.dims}")
         if not np.all(np.isfinite(arr)):
             raise InputError("volume contains non-finite values")
-        object.__setattr__(self, "data", _frozen(arr))
-
-
-@dataclass(frozen=True)
-class ComplexVolume:
-    """Immutable complex128 field, used for spectra and intermediate transforms."""
-
-    meta: VolumeMeta
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.data, dtype=np.complex128)
-        _check_shape(self.meta, arr)
-        if not np.all(np.isfinite(arr)):
-            raise InputError("volume contains non-finite values")
-        object.__setattr__(self, "data", _frozen(arr))
+        arr.setflags(write=False)
+        object.__setattr__(self, "data", arr)
 
 
 @dataclass(frozen=True)
@@ -123,43 +104,32 @@ class Mask(RealVolume):
         return int(np.count_nonzero(self.data))
 
 
-def fft3(v: RealVolume | ComplexVolume) -> ComplexVolume:
-    """Unnormalized forward 3D DFT (Parseval: ||F v||^2 = N ||v||^2)."""
-    return ComplexVolume(v.meta, np.fft.fftn(v.data))
+def forward_diff(arr: np.ndarray, axis: int) -> np.ndarray:
+    """Forward difference ``arr[i+1] - arr[i]`` along ``axis``, any rank.
 
-
-def ifft3(v: ComplexVolume) -> ComplexVolume:
-    """Inverse 3D DFT carrying the 1/N factor, so ifft3(fft3(v)) == v."""
-    return ComplexVolume(v.meta, np.fft.ifftn(v.data))
-
-
-def _axis_diff(arr: np.ndarray, axis: int) -> np.ndarray:
-    # forward difference, replicate (Neumann) boundary: last slice is 0
+    The last slice is 0 (replicate, i.e. Neumann, boundary).
+    """
     out = np.zeros_like(arr)
-    head = [slice(None)] * 3
+    head = [slice(None)] * arr.ndim
     head[axis] = slice(0, arr.shape[axis] - 1)
     out[tuple(head)] = np.diff(arr, axis=axis)
     return out
 
 
-def grad3(v: RealVolume) -> tuple[RealVolume, RealVolume, RealVolume]:
-    """Forward-difference gradient per axis with zero last slice."""
-    return tuple(RealVolume(v.meta, _axis_diff(v.data, ax)) for ax in range(3))
+def forward_diff_adjoint(arr: np.ndarray, axis: int) -> np.ndarray:
+    """Transpose of ``forward_diff``: ``<forward_diff(u), g> == <u, adjoint(g)>``.
 
-
-def div3(gx: RealVolume, gy: RealVolume, gz: RealVolume) -> RealVolume:
-    """Negative adjoint of grad3: <grad3(u), g> == <u, -div3(g)> exactly."""
-    if not (gx.meta == gy.meta == gz.meta):
-        raise InputError("div3 components must share geometry")
-    out = np.zeros(gx.meta.dims, dtype=np.float64)
-    for ax, g in enumerate((gx, gy, gz)):
-        body = [slice(None)] * 3
-        body[ax] = slice(0, g.data.shape[ax] - 1)
-        shifted = [slice(None)] * 3
-        shifted[ax] = slice(1, g.data.shape[ax])
-        out[tuple(body)] += g.data[tuple(body)]
-        out[tuple(shifted)] -= g.data[tuple(body)]
-    return RealVolume(gx.meta, out)
+    ``out[i] = arr[i-1] - arr[i]``, reading ``arr`` as 0 before its first
+    slice and on its last slice (the one ``forward_diff`` never writes).
+    """
+    out = np.zeros_like(arr)
+    body = [slice(None)] * arr.ndim
+    body[axis] = slice(0, arr.shape[axis] - 1)
+    shifted = [slice(None)] * arr.ndim
+    shifted[axis] = slice(1, arr.shape[axis])
+    out[tuple(body)] -= arr[tuple(body)]
+    out[tuple(shifted)] += arr[tuple(body)]
+    return out
 
 
 def _header_dict(meta: VolumeMeta) -> dict:

@@ -298,6 +298,24 @@ class TestConvOracle:
         for gg, wg in zip(got_grads, want_grads):
             _assert_close(np.asarray(gg), np.asarray(wg), 1e-12)
 
+    @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 1)])
+    def test_constant_input_gets_no_input_gradient(self, stride, pad):
+        # a data input (the first generator or discriminator layer) is not
+        # live, so backward skips its gradient; the weight gradient stays
+        rng = np.random.default_rng(stride)
+        x = Tensor(rng.normal(size=(2, 6, 5, 4)), dtype=np.float64)
+        w = Tensor(rng.normal(size=(3, 2, 4, 4, 4)), requires_grad=True,
+                   dtype=np.float64)
+        b = Tensor(rng.normal(size=3), requires_grad=True, dtype=np.float64)
+        out = ad.conv3d(x, w, b, stride=stride, pad=pad)
+        g = rng.normal(size=out.shape)
+        grad_x, grad_w, grad_b = out._backward(g)
+        assert grad_x is None
+        x_live = Tensor(x.data, requires_grad=True, dtype=np.float64)
+        want = conv3d_einsum(x_live, w, b, stride=stride, pad=pad)._backward(g)
+        _assert_close(grad_w, want[1], 1e-12)
+        _assert_close(grad_b, want[2], 1e-12)
+
 
 class TestInstanceNormOracle:
     """The one-node instance_norm against the composite oracle."""

@@ -13,9 +13,9 @@ import pytest
 
 import qsmkit
 from qsmkit import cli
-from qsmkit.dipole import build_dipole
+from qsmkit.dipole import build_dipole, forward_field
 from qsmkit.phantom import simulate_case
-from qsmkit.volume import read_mask, read_volume
+from qsmkit.volume import RealVolume, read_mask, read_volume, write_volume
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -153,6 +153,19 @@ class TestForwardNoise:
                               case.field.data.astype(np.float32))
         assert np.array_equal(read_mask(mag).data, case.magnitude.data)
 
+    def test_unmasked_forward_bytes(self, sphere_files, tmp_path):
+        # the unmasked path adds seeded noise to the clean field exactly as
+        # a direct forward_field + default_rng(seed).normal draw does
+        out, want = tmp_path / "b.dbv", tmp_path / "want.dbv"
+        assert cli.main(["forward", "--chi", sphere_files["chi"],
+                         "--out", str(out), "--seed", "3",
+                         "--noise-sigma", "0.01"]) == 0
+        chi = read_volume(sphere_files["chi"])
+        clean = forward_field(chi, build_dipole(chi.meta)).data
+        noise = np.random.default_rng(3).normal(0.0, 0.01, size=chi.meta.dims)
+        write_volume(RealVolume(chi.meta, clean + noise), want)
+        assert out.read_bytes() == want.read_bytes()
+
     def test_mag_out_requires_mask(self, sphere_files, tmp_path, capsys):
         code = cli.main(["forward", "--chi", sphere_files["chi"],
                          "--out", str(tmp_path / "b.dbv"),
@@ -239,6 +252,16 @@ class TestPhantomSpecErrors:
         assert code == 1
         assert needle in capsys.readouterr().err
 
+    def test_seed_key_rejected(self, tmp_path, capsys):
+        # rasterization draws no randomness, so a spec has no seed key
+        spec = write(tmp_path / "s.cfg", "dims = 8 8 8\nseed = 4\n")
+        assert cli.main(["phantom", "--spec", spec,
+                         "--out", str(tmp_path / "c.dbv")]) == 1
+        err = capsys.readouterr().err
+        assert "unknown key 'seed'" in err
+        assert ("(known: sphere, box, dims, voxel_size, b0_dir, "
+                "background_chi)") in err
+
     def test_malformed_line_names_location(self, tmp_path, capsys):
         spec = write(tmp_path / "s.cfg", "dims = 8 8 8\nbroken\n")
         assert cli.main(["phantom", "--spec", spec,
@@ -267,9 +290,6 @@ class TestExitCodes:
         assert cli.main(["tkd", "--field", str(tmp_path / "absent.dbv"),
                          "--out", str(tmp_path / "x.dbv")]) == 1
         assert "absent.dbv" in capsys.readouterr().err
-
-    def test_threads_must_be_positive(self):
-        assert cli.main(["--threads", "0", "gradcheck", "--cases", "1"]) == 1
 
     def test_divergent_training_exits_two(self, sphere_files, tmp_path,
                                           capsys):

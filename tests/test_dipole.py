@@ -4,8 +4,10 @@ import pytest
 from qsmkit.dipole import (
     SPECTRUM_MAX,
     SPECTRUM_MIN,
+    DipoleKernel,
     build_dipole,
     forward_field,
+    k_mirror,
     naive_inverse,
 )
 from qsmkit.errors import InputError
@@ -78,6 +80,27 @@ class TestSpecialDirections:
         a = build_dipole(METAS["aniso"]).spectrum
         b = build_dipole(METAS["aniso"]).spectrum
         np.testing.assert_array_equal(a, b)
+
+
+class TestKernelEvenness:
+    @pytest.mark.parametrize("dims", [(16, 15, 14), (9, 7, 11), (12, 12, 12)])
+    def test_accepts_built_kernel_oblique_b0(self, dims):
+        meta = VolumeMeta(dims, (0.9, 1.1, 1.4), (0.3, -0.5, 0.8))
+        kern = build_dipole(meta)
+        assert DipoleKernel(meta, kern.spectrum).meta == meta
+
+    @pytest.mark.parametrize("shape", [(4, 6, 4), (9, 7, 11), (16, 15, 14)])
+    def test_mirror_matches_index_oracle(self, shape):
+        a = np.random.default_rng(0).normal(size=shape)
+        idx = [(-np.arange(n)) % n for n in shape]
+        np.testing.assert_array_equal(k_mirror(a), a[np.ix_(*idx)])
+
+    def test_rejects_uneven_spectrum(self):
+        meta = METAS["odd"]
+        spec = np.array(build_dipole(meta).spectrum)
+        spec[1, 2, 3] += 1e-9  # its mirror bin (-1, -2, -3) is untouched
+        with pytest.raises(InputError, match="even"):
+            DipoleKernel(meta, spec)
 
 
 class TestForward:
