@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dipole import apply_spectrum
+from .dipole import apply_spectrum, k_mirror
 from .errors import InputError, NumericalError
 from .volume import forward_diff, forward_diff_adjoint
 
@@ -272,12 +272,14 @@ def spectral_filter(a: Tensor, spectrum: np.ndarray) -> Tensor:
     """Multiply by a real, even spectrum in k-space, per channel.
 
     Evenness makes the operator self-adjoint on real fields, so the backward
-    pass reuses the forward transform. Dipole kernels satisfy this by
-    construction.
+    pass reuses the forward transform, and the half-spectrum apply needs it:
+    a spectrum unequal to its ``k_mirror`` is rejected.
     """
     if spectrum.shape != a.data.shape[1:]:
         raise InputError(
             f"spectrum shape {spectrum.shape} does not match spatial {a.data.shape[1:]}")
+    if not np.array_equal(spectrum, k_mirror(spectrum)):
+        raise InputError("spectrum is not even under k -> -k")
     spec = spectrum.astype(a.data.dtype)
 
     def apply(arr):

@@ -97,9 +97,9 @@ def build_medi_weights(magnitude: RealVolume, edge_fraction: float = 0.3) -> Med
     return MediWeights(w=RealVolume(magnitude.meta, w), m=tuple(masks))
 
 
-def _medi_objective(x: np.ndarray, b: np.ndarray, spec: np.ndarray,
+def _medi_objective(x: np.ndarray, hx: np.ndarray, b: np.ndarray,
                     w2: np.ndarray, m: tuple, lam: float) -> tuple[float, float, float]:
-    resid = b - apply_spectrum(x, spec)
+    resid = b - hx
     data = float(np.sum(w2 * resid * resid))
     reg = 0.0
     for ax in range(3):
@@ -114,8 +114,8 @@ def medi_invert(field: RealVolume, kernel: DipoleKernel, weights: MediWeights,
 
     The L1 factors are smoothed as sqrt(t^2 + eps^2) so the objective is
     differentiable; an Armijo backtracking line search keeps the recorded
-    objective trace non-increasing. Trace rows are
-    (iteration, objective, data_term, reg_term).
+    objective trace non-increasing. H is linear, so a trial x - t g reuses Hx
+    and Hg. Trace rows are (iteration, objective, data_term, reg_term).
     """
     kernel.require_grid(field.meta)
     if weights.w.meta != field.meta:
@@ -126,14 +126,13 @@ def medi_invert(field: RealVolume, kernel: DipoleKernel, weights: MediWeights,
     m = tuple(mk.data for mk in weights.m)
     lam = params.lam
 
-    x = np.zeros_like(b)
-    f, data, reg = _medi_objective(x, b, spec, w2, m, lam)
+    x, hx = np.zeros_like(b), np.zeros_like(b)
+    f, data, reg = _medi_objective(x, hx, b, w2, m, lam)
     trace = [(0, f, data, reg)]
     f0 = f
     t = params.step
     for it in range(1, params.iters + 1):
-        resid = apply_spectrum(x, spec) - b
-        grad = 2.0 * apply_spectrum(w2 * resid, spec)
+        grad = 2.0 * apply_spectrum(w2 * (hx - b), spec)
         for ax in range(3):
             g = forward_diff(x, ax)
             psi = m[ax] * g / np.sqrt(g * g + SMOOTH_EPS ** 2)
@@ -141,17 +140,18 @@ def medi_invert(field: RealVolume, kernel: DipoleKernel, weights: MediWeights,
         gnorm2 = float(np.sum(grad * grad))
         if gnorm2 == 0.0:
             break
+        hg = apply_spectrum(grad, spec)
         t = min(t * 2.0, params.step)
         while True:
-            cand = x - t * grad
-            f_new, data_new, reg_new = _medi_objective(cand, b, spec, w2, m, lam)
+            cand, hcand = x - t * grad, hx - t * hg
+            f_new, data_new, reg_new = _medi_objective(cand, hcand, b, w2, m, lam)
             if np.isfinite(f_new) and f_new <= f - 1e-4 * t * gnorm2:
                 break
             t *= 0.5
             if t < 1e-20:  # stalled: keep current iterate
-                cand, f_new, data_new, reg_new = x, f, data, reg
+                cand, hcand, f_new, data_new, reg_new = x, hx, f, data, reg
                 break
-        x, f, data, reg = cand, f_new, data_new, reg_new
+        x, hx, f, data, reg = cand, hcand, f_new, data_new, reg_new
         if not np.isfinite(f) or f > 10.0 * f0:
             raise NumericalError(f"objective diverged at iteration {it}: {f:g}")
         trace.append((it, f, data, reg))

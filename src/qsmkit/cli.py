@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from pathlib import Path
 
 import numpy as np
 

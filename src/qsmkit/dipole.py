@@ -8,8 +8,8 @@ anisotropic voxels and oblique b0 produce the correct magic-angle cone.
 ``apply_spectrum`` is the one k-space multiply in the package: the forward
 field, the naive and TKD inverses, the classical solvers and the autodiff
 ``spectral_filter`` all go through it. A ``DipoleKernel`` only holds a real
-spectrum equal to its own k -> -k mirror, so every such multiply of a real
-field is real up to round-off and the imaginary part can be dropped.
+spectrum equal to its own k -> -k mirror, so its product with the transform
+of a real field is Hermitian and a real FFT over the half spectrum suffices.
 """
 
 from __future__ import annotations
@@ -81,13 +81,15 @@ def build_dipole(meta: VolumeMeta) -> DipoleKernel:
 
 
 def apply_spectrum(data: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    """real(ifft(spectrum * fft(data))) over the last three axes.
+    """real(ifft(spectrum * fft(data))) over the last three axes, by real FFT.
 
-    Leading axes (channels) share the spectrum; the dtype follows NumPy's
-    promotion of the data and spectrum.
+    ``spectrum`` must equal its ``k_mirror`` (every ``DipoleKernel`` does):
+    only its half along the last axis is read. Leading axes (channels) share
+    the spectrum; the dtype follows NumPy's promotion of data and spectrum.
     """
     axes = (-3, -2, -1)
-    return np.real(np.fft.ifftn(spectrum * np.fft.fftn(data, axes=axes), axes=axes))
+    half = spectrum[..., :data.shape[-1] // 2 + 1]
+    return np.fft.irfftn(half * np.fft.rfftn(data, axes=axes), s=data.shape[-3:], axes=axes)
 
 
 def forward_field(chi: RealVolume, kernel: DipoleKernel) -> RealVolume:

@@ -7,7 +7,7 @@ overwrite earlier ones where they overlap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -12,7 +12,7 @@ from qsmkit import autodiff as ad
 from qsmkit.autodiff import Tensor, _node, backward, check_gradients, zero_grads
 from qsmkit.dipole import apply_spectrum, build_dipole
 from qsmkit.errors import InputError, NumericalError
-from qsmkit.gradcheck import F32_TOL, F64_TOL, OPS, build_case
+from qsmkit.gradcheck import F32_TOL, F64_TOL, OPS, _even_spectrum, build_case
 from qsmkit.volume import VolumeMeta
 
 
@@ -416,6 +416,16 @@ class TestOpValues:
         hu = ad.spectral_filter(Tensor(u, dtype=np.float64), spec).data
         hv = ad.spectral_filter(Tensor(v, dtype=np.float64), spec).data
         assert abs(np.vdot(hu, v) - np.vdot(u, hv)) < 1e-12 * np.abs(np.vdot(hu, v))
+
+    def test_spectral_filter_requires_even_spectrum(self):
+        meta = VolumeMeta((8, 6, 5), (1.0, 1.2, 0.9), (0.0, 1.0, 2.0))
+        x = Tensor(np.random.default_rng(6).normal(size=(2,) + meta.dims))
+        spec = np.array(build_dipole(meta).spectrum)
+        ad.spectral_filter(x, spec)
+        ad.spectral_filter(x, _even_spectrum(np.random.default_rng(7), meta.dims))
+        spec[1, 2, 3] += 1e-9  # outside the half spectrum; its mirror bin is inside
+        with pytest.raises(InputError, match="even"):
+            ad.spectral_filter(x, spec)
 
     def test_elementwise_values(self):
         t = Tensor([-1.0, 0.0, 2.0], dtype=np.float64)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from qsmkit import classical
 from qsmkit.classical import (
+    SMOOTH_EPS,
     MediParams,
     MediWeights,
     TkdParams,
@@ -10,10 +12,10 @@ from qsmkit.classical import (
     medi_invert,
     tkd_invert,
 )
-from qsmkit.dipole import build_dipole, forward_field
-from qsmkit.errors import InputError
+from qsmkit.dipole import DipoleKernel, apply_spectrum, build_dipole, forward_field
+from qsmkit.errors import InputError, NumericalError
 from qsmkit.phantom import make_random_piecewise
-from qsmkit.volume import RealVolume, VolumeMeta
+from qsmkit.volume import RealVolume, VolumeMeta, forward_diff, forward_diff_adjoint
 
 META = VolumeMeta((16, 16, 16), (1.0, 1.0, 1.0), (0, 0, 1))
 KERN = build_dipole(META)
@@ -28,6 +30,71 @@ def band_limited(threshold, seed=0, meta=META, kern=KERN):
 
 def ones_weights(meta=META):
     return build_medi_weights(RealVolume(meta, np.ones(meta.dims)))
+
+
+# The MEDI solver that applied H to every line-search trial, kept verbatim
+# (under new names) as the oracle of the linear line search in medi_invert.
+def _medi_objective_reference(x: np.ndarray, b: np.ndarray, spec: np.ndarray,
+                              w2: np.ndarray, m: tuple, lam: float) -> tuple[float, float, float]:
+    resid = b - apply_spectrum(x, spec)
+    data = float(np.sum(w2 * resid * resid))
+    reg = 0.0
+    for ax in range(3):
+        g = forward_diff(x, ax)
+        reg += float(np.sum(m[ax] * np.sqrt(g * g + SMOOTH_EPS ** 2)))
+    return data + lam * reg, data, lam * reg
+
+
+def medi_invert_reference(field: RealVolume, kernel: DipoleKernel, weights: MediWeights,
+                          params: MediParams = MediParams()) -> tuple[RealVolume, list[tuple]]:
+    """Minimize ||W(b - Hx)||^2 + lam * sum_c ||M_c grad_c(x)||_1 by descent.
+
+    The L1 factors are smoothed as sqrt(t^2 + eps^2) so the objective is
+    differentiable; an Armijo backtracking line search keeps the recorded
+    objective trace non-increasing. Trace rows are
+    (iteration, objective, data_term, reg_term).
+    """
+    kernel.require_grid(field.meta)
+    if weights.w.meta != field.meta:
+        raise InputError("weights geometry differs from field")
+    b = field.data
+    spec = kernel.spectrum
+    w2 = weights.w.data ** 2
+    m = tuple(mk.data for mk in weights.m)
+    lam = params.lam
+
+    x = np.zeros_like(b)
+    f, data, reg = _medi_objective_reference(x, b, spec, w2, m, lam)
+    trace = [(0, f, data, reg)]
+    f0 = f
+    t = params.step
+    for it in range(1, params.iters + 1):
+        resid = apply_spectrum(x, spec) - b
+        grad = 2.0 * apply_spectrum(w2 * resid, spec)
+        for ax in range(3):
+            g = forward_diff(x, ax)
+            psi = m[ax] * g / np.sqrt(g * g + SMOOTH_EPS ** 2)
+            grad += lam * forward_diff_adjoint(psi, ax)
+        gnorm2 = float(np.sum(grad * grad))
+        if gnorm2 == 0.0:
+            break
+        t = min(t * 2.0, params.step)
+        while True:
+            cand = x - t * grad
+            f_new, data_new, reg_new = _medi_objective_reference(cand, b, spec, w2, m, lam)
+            if np.isfinite(f_new) and f_new <= f - 1e-4 * t * gnorm2:
+                break
+            t *= 0.5
+            if t < 1e-20:  # stalled: keep current iterate
+                cand, f_new, data_new, reg_new = x, f, data, reg
+                break
+        x, f, data, reg = cand, f_new, data_new, reg_new
+        if not np.isfinite(f) or f > 10.0 * f0:
+            raise NumericalError(f"objective diverged at iteration {it}: {f:g}")
+        trace.append((it, f, data, reg))
+        if t < 1e-20:
+            break
+    return RealVolume(field.meta, x), trace
 
 
 class TestTkd:
@@ -125,6 +192,33 @@ class TestMediInvert:
         cg, _ = cg_least_squares(b, KERN, iters=80)
         rel = np.linalg.norm(gd.data - cg.data) / np.linalg.norm(cg.data)
         assert rel < 1e-4
+
+    def test_matches_per_trial_line_search(self):
+        chi = make_random_piecewise(META, 4, seed=3)
+        mag = RealVolume(META, 1.0 + np.abs(make_random_piecewise(META, 3, seed=4).data))
+        b = forward_field(chi, KERN)
+        weights = build_medi_weights(mag)
+        params = MediParams(lam=0.01, iters=30)
+        got, trace = medi_invert(b, KERN, weights, params)
+        want, want_trace = medi_invert_reference(b, KERN, weights, params)
+        assert len(trace) == len(want_trace) == 31
+        rel = np.max(np.abs(got.data - want.data)) / np.max(np.abs(want.data))
+        assert rel < 1e-9
+        np.testing.assert_allclose(trace, want_trace, rtol=1e-9, atol=0)
+
+    def test_two_applies_per_iteration(self, monkeypatch):
+        calls = []
+
+        def counting(data, spectrum):
+            calls.append(1)
+            return apply_spectrum(data, spectrum)
+
+        monkeypatch.setattr(classical, "apply_spectrum", counting)
+        chi = make_random_piecewise(META, 4, seed=3)
+        _, trace = medi_invert(forward_field(chi, KERN), KERN, ones_weights(),
+                               MediParams(lam=0.01, iters=30))
+        assert len(trace) - 1 == 30
+        assert len(calls) == 2 * 30
 
     def test_param_validation(self):
         with pytest.raises(InputError):

@@ -1,10 +1,15 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qsmkit
 from qsmkit.dipole import (
     SPECTRUM_MAX,
     SPECTRUM_MIN,
     DipoleKernel,
+    apply_spectrum,
     build_dipole,
     forward_field,
     k_mirror,
@@ -101,6 +106,53 @@ class TestKernelEvenness:
         spec[1, 2, 3] += 1e-9  # its mirror bin (-1, -2, -3) is untouched
         with pytest.raises(InputError, match="even"):
             DipoleKernel(meta, spec)
+
+
+def apply_spectrum_complex(data, spectrum):
+    """The complex-FFT apply that the half-spectrum one replaced, kept
+    verbatim as its oracle."""
+    axes = (-3, -2, -1)
+    return np.real(np.fft.ifftn(spectrum * np.fft.fftn(data, axes=axes), axes=axes))
+
+
+class TestApplySpectrum:
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("dims", [(16, 15, 14), (9, 7, 11), (12, 12, 12)])
+    def test_matches_complex_apply(self, dims, lead, dtype, tol):
+        meta = VolumeMeta(dims, (0.9, 1.1, 1.4), (0.3, -0.5, 0.8))
+        spec = build_dipole(meta).spectrum.astype(dtype)
+        data = np.random.default_rng(1).standard_normal(lead + dims).astype(dtype)
+        got = apply_spectrum(data, spec)
+        want = apply_spectrum_complex(data, spec)
+        assert got.shape == data.shape
+        assert got.dtype == want.dtype == data.dtype
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+    def test_only_apply_spectrum_transforms(self):
+        # One spectral operator: every n-D transform in the package goes
+        # through apply_spectrum, and only as np.fft.rfftn/irfftn, the names
+        # the benchmark's tracer counts.
+        transforms = {"fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+                      "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft"}
+        found = []
+        for path in sorted(Path(qsmkit.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            owner = {}  # node -> outermost enclosing function
+            for fn in ast.walk(tree):
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for node in ast.walk(fn):
+                        owner.setdefault(id(node), fn.name)
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Attribute) and node.attr in transforms
+                        and isinstance(node.value, ast.Attribute) and node.value.attr == "fft"):
+                    found.append((path.stem, owner.get(id(node), "<module>"), ast.unparse(node)))
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                    if any("fft" in n for n in names):
+                        found.append((path.stem, "import", ast.unparse(node)))
+        assert sorted(found) == [("dipole", "apply_spectrum", "np.fft.irfftn"),
+                                 ("dipole", "apply_spectrum", "np.fft.rfftn")]
 
 
 class TestForward:
