@@ -55,6 +55,7 @@ from .training import (
     optimize_dip,
     train_cycleqsm,
     train_uqsm,
+    write_csv,
 )
 from .volume import Mask, RealVolume, VolumeMeta, read_mask, read_volume, write_volume
 
@@ -92,15 +93,6 @@ def _numbers(value: str, n: int, key: str, typ=float) -> tuple:
         return tuple(typ(p) for p in parts)
     except ValueError as exc:
         raise InputError(f"{key!r}: {exc}") from exc
-
-
-def _write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([v if isinstance(v, (int, str)) else repr(float(v))
-                        for v in row])
 
 
 # ---------------------------------------------------------------- phantom
@@ -196,8 +188,8 @@ def cmd_medi(args) -> int:
     out, trace = medi_invert(field, build_dipole(field.meta), weights, params)
     write_volume(out, args.out)
     if args.trace:
-        _write_csv(args.trace,
-                   ["iteration", "objective", "data_term", "reg_term"], trace)
+        write_csv(args.trace,
+                  ["iteration", "objective", "data_term", "reg_term"], trace)
     return 0
 
 
@@ -211,8 +203,8 @@ def cmd_cgls(args) -> int:
         # the CGLS objective is the squared weighted residual; it has no
         # regularizer, so the reg column is identically zero
         rows = [(i, r * r, r * r, 0.0) for i, r in enumerate(residuals)]
-        _write_csv(args.trace,
-                   ["iteration", "objective", "data_term", "reg_term"], rows)
+        write_csv(args.trace,
+                  ["iteration", "objective", "data_term", "reg_term"], rows)
     return 0
 
 
@@ -402,11 +394,8 @@ def cmd_dip(args) -> int:
         field, magnitude, mask, build_dipole(field.meta), lam=vals["lam"],
         iters=vals["iters"], lr=vals["lr"], seed=vals["seed"],
         depth=vals["depth"], base_channels=vals["channels"],
-        beta1=vals["beta1"], beta2=vals["beta2"])
+        beta1=vals["beta1"], beta2=vals["beta2"], log_path=args.trace)
     write_volume(out, args.out)
-    if args.trace:
-        _write_csv(args.trace, ["iteration", "objective"],
-                   list(enumerate(trace)))
     return 0
 
 
@@ -422,11 +411,9 @@ def cmd_uqsm(args) -> int:
                           base_channels=vals["gen_channels"],
                           seed=vals["gen_seed"])
     gen, trace = train_uqsm(ds, gen, _train_config(vals), lam=vals["lam"],
-                            checkpoint_dir=args.checkpoint_dir)
+                            checkpoint_dir=args.checkpoint_dir,
+                            log_path=args.trace)
     save_checkpoint(gen, args.out_gen)
-    if args.trace:
-        _write_csv(args.trace, ["iteration", "objective"],
-                   list(enumerate(trace)))
     print(f"trained {len(trace)} steps; final objective {trace[-1]:.6g}")
     return 0
 
@@ -459,15 +446,15 @@ def cmd_eval(args) -> int:
         row += [reg.slope, reg.intercept, reg.r_squared, reg.corr,
                 reg.mean_abs_error, reg.std_abs_error]
         if args.roi_means:
-            _write_csv(args.roi_means, ["name", "mean", "std"],
-                       roi_means(recon, rois))
+            write_csv(args.roi_means, ["name", "mean", "std"],
+                      roi_means(recon, rois))
     elif args.roi_means:
         raise InputError("--roi-means needs at least one --roi")
     w = csv.writer(sys.stdout, lineterminator="\n")
     w.writerow(header)
     w.writerow([repr(float(v)) for v in row])
     if args.out:
-        _write_csv(args.out, header, [row])
+        write_csv(args.out, header, [row])
     return 0
 
 

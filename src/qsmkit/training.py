@@ -2,15 +2,22 @@
 per-volume deep-prior optimization, field-only phasor training, and stitched
 full-volume inference.
 
+The three optimisation loops (``train_cycleqsm``, ``train_uqsm``,
+``optimize_dip``) share one run driver, ``_run``: each supplies a ``step()``
+closure that returns one log row, and ``_update`` is the one
+backward/Adam/zero-grad sequence. The driver owns the epoch and step loop,
+per-epoch checkpoints, the halt path and the CSV log.
+
 Determinism contract: every routine that draws randomness takes a seed or an
 explicit rng, consumes it in a documented order, and mutates parameters only
-from the loop body, so identical (dataset, config, seed) reproduce identical
+from the step body, so identical (dataset, config, seed) reproduce identical
 parameter trajectories, logs, and outputs bit for bit on one thread.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +31,7 @@ from .errors import InputError, NumericalError
 from .losses import (
     LossReport,
     LossWeights,
+    _batch_mean,
     apply_generator,
     dip_loss,
     lsgan_losses,
@@ -128,11 +136,6 @@ class UnpairedDataset:
         return VolumeMeta((patch_size,) * 3, ref.voxel_size, ref.b0_dir)
 
 
-def _check_fits(dims: tuple[int, int, int], p: int) -> None:
-    if min(dims) < p:
-        raise InputError(f"volume dims {dims} smaller than patch size {p}")
-
-
 def _origin(rng: np.random.Generator, dims, p: int) -> tuple[int, ...]:
     return tuple(int(rng.integers(n - p + 1)) for n in dims)
 
@@ -153,10 +156,10 @@ def sample_patches(ds: UnpairedDataset, cfg: TrainConfig,
     (phase, magnitude) array pairs.
     """
     p = cfg.patch_size
-    for case in ds.field_cases:
-        _check_fits(case.field.meta.dims, p)
-    for vol in ds.chi_volumes:
-        _check_fits(vol.meta.dims, p)
+    for vol in [case.field for case in ds.field_cases] + list(ds.chi_volumes):
+        if min(vol.meta.dims) < p:
+            raise InputError(
+                f"volume dims {vol.meta.dims} smaller than patch size {p}")
     field_patches, chi_patches, mask_patches = [], [], []
     for _ in range(count):
         case = ds.field_cases[int(rng.integers(len(ds.field_cases)))]
@@ -225,10 +228,6 @@ def _to_tensor(arr: np.ndarray) -> Tensor:
     return Tensor(arr[None].astype(np.float32))
 
 
-def _grads(params: dict[str, Tensor]) -> dict[str, np.ndarray | None]:
-    return {n: t.grad for n, t in params.items()}
-
-
 def _draw_batch(ds, cfg, rng, b0_dir):
     field_p, chi_p, mask_p = sample_patches(ds, cfg, rng, cfg.batch_size)
     chi_b, b_b, mag_b, mask_b = [], [], [], []
@@ -251,24 +250,94 @@ def _disc_patch_check(disc: Discriminator, p: int) -> None:
             f"strided layers; the 4-wide head needs at least 2")
 
 
-def _params_finite(*models) -> bool:
-    return all(np.isfinite(t.data).all()
-               for m in models for t in m.params.values())
+def _require_divisible(gen: Generator, what: str, sizes) -> None:
+    if np.any(np.mod(sizes, gen.divisor)):
+        raise InputError(f"{what} {sizes} must be divisible by {gen.divisor}")
 
 
-def _halt(gen, disc, ckdir, epoch: int, step: int,
-          exc: NumericalError) -> None:
-    """Raise the training-halt diagnostic, preserving a usable checkpoint."""
-    msg = f"training halted at epoch {epoch}, generator step {step}: {exc}"
-    if ckdir is not None and _params_finite(gen, disc):
-        save_checkpoint(gen, ckdir / "gen_last_good.dbc1")
-        save_checkpoint(disc, ckdir / "disc_last_good.dbc1")
-        msg += ("; pre-step parameters saved to gen_last_good.dbc1 and "
-                "disc_last_good.dbc1")
-    elif ckdir is not None:
-        msg += ("; parameters already non-finite, fall back to the newest "
-                "epoch checkpoint")
-    raise NumericalError(msg) from exc
+def _require_field_grid(meta: VolumeMeta, magnitude, mask) -> None:
+    for name, vol in (("magnitude", magnitude), ("mask", mask)):
+        if vol is not None and vol.meta != meta:
+            raise InputError(f"{name} geometry does not match field")
+
+
+def _update(loss: Tensor, model, state: AdamState, lr: float, beta1: float,
+            beta2: float, params: list[Tensor]) -> None:
+    """Backward from ``loss``, one Adam step on ``model``, then clear the
+    gradients of every tensor in ``params``."""
+    ad.backward(loss)
+    adam_step(model.params, {n: t.grad for n, t in model.params.items()},
+              state, lr, beta1, beta2)
+    ad.zero_grads(params)
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write a header and one line per row: ints and strings as they are,
+    every other value as repr(float), with '\\n' line ends, so identical
+    values serialize to identical bytes."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for row in rows:
+            w.writerow([v if isinstance(v, (int, str)) else repr(float(v))
+                        for v in row])
+
+
+def write_log_csv(rows: list[LossReport], path, steps_per_epoch: int) -> None:
+    """One CSV row per generator step: step, epoch, then the loss terms."""
+    if steps_per_epoch < 1:
+        raise InputError("steps_per_epoch must be >= 1")
+    write_csv(path, ["step", "epoch", "cycle", "gan_g", "gan_d", "grad", "tv",
+                     "total"],
+              [(i, i // steps_per_epoch) + r.row() for i, r in enumerate(rows)])
+
+
+def _write_trace(trace: list[float], path) -> None:
+    write_csv(path, ["iteration", "objective"], enumerate(trace))
+
+
+def _run(step, models: dict, epochs: int, steps: int, checkpoint_dir=None,
+         log_path=None, write_log=_write_trace) -> list:
+    """Call ``step()`` ``steps`` times per epoch and collect what it returns.
+
+    After each epoch every model is saved as ``<name>_epoch<NNN>.dbc1`` in
+    checkpoint_dir. A NumericalError from a step halts the run with the epoch
+    and generator step in the message; while the parameters are still finite
+    each model is saved as ``<name>_last_good.dbc1``. The rows completed so
+    far reach ``write_log(rows, log_path)`` whether the run ends or halts.
+    """
+    ckdir = Path(checkpoint_dir) if checkpoint_dir is not None else None
+    if ckdir is not None:
+        ckdir.mkdir(parents=True, exist_ok=True)
+
+    def save(tag: str) -> None:
+        for name, model in models.items():
+            save_checkpoint(model, ckdir / f"{name}_{tag}.dbc1")
+
+    params = [t for m in models.values() for t in m.params.values()]
+    ad.zero_grads(params)
+    rows: list = []
+    try:
+        for epoch in range(epochs):
+            for _ in range(steps):
+                rows.append(step())
+            if ckdir is not None:
+                save(f"epoch{epoch:03d}")
+    except NumericalError as exc:
+        msg = (f"training halted at epoch {epoch}, generator step "
+               f"{len(rows)}: {exc}")
+        if ckdir is not None and all(np.isfinite(t.data).all() for t in params):
+            save("last_good")
+            msg += "; pre-step parameters saved to " + " and ".join(
+                f"{name}_last_good.dbc1" for name in models)
+        elif ckdir is not None:
+            msg += ("; parameters already non-finite, fall back to the "
+                    "newest epoch checkpoint")
+        raise NumericalError(msg) from exc
+    finally:
+        if log_path is not None:
+            write_log(rows, log_path)
+    return rows
 
 
 def train_cycleqsm(ds: UnpairedDataset, gen: Generator, disc: Discriminator,
@@ -285,70 +354,36 @@ def train_cycleqsm(ds: UnpairedDataset, gen: Generator, disc: Discriminator,
     and a CSV log are written when the paths are given. A non-finite value
     anywhere halts with NumericalError and keeps the last good parameters.
     """
-    if cfg.patch_size % gen.divisor:
-        raise InputError(
-            f"patch_size {cfg.patch_size} must be divisible by {gen.divisor}")
+    _require_divisible(gen, "patch_size", cfg.patch_size)
     _disc_patch_check(disc, cfg.patch_size)
     rng = np.random.default_rng(cfg.seed)
     meta = ds.patch_meta(cfg.patch_size)
     kernel = build_dipole(meta)
     g_state, d_state = AdamState(), AdamState()
     all_params = list(gen.params.values()) + list(disc.params.values())
-    ckdir = Path(checkpoint_dir) if checkpoint_dir is not None else None
-    if ckdir is not None:
-        ckdir.mkdir(parents=True, exist_ok=True)
-    rows: list[LossReport] = []
+    opt = (cfg.lr, cfg.beta1, cfg.beta2)
+
+    def step() -> LossReport:
+        chi_b, b_b, mag_b, mask_b = _draw_batch(ds, cfg, rng, meta.b0_dir)
+        report, total_g, gan_d = total_generator_loss(
+            chi_b, b_b, gen, disc, kernel, weights=cfg.weights,
+            mag_batch=mag_b, mask_batch=mask_b, norm=cfg.norm,
+            mask_losses=cfg.mask_losses)
+        _update(total_g, gen, g_state, *opt, all_params)
+        _update(gan_d, disc, d_state, *opt, all_params)
+        for _ in range(cfg.d_steps_per_g_step - 1):
+            chi_b, b_b, mag_b, mask_b = _draw_batch(ds, cfg, rng, meta.b0_dir)
+            fakes = [apply_generator(gen, b, m).detach()
+                     for b, m in zip(b_b, mag_b)]
+            extra_d, _ = lsgan_losses(disc, chi_b, fakes, mask_b)
+            _update(extra_d, disc, d_state, *opt, all_params)
+        return report
+
     steps = max(1, cfg.patches_per_epoch // cfg.batch_size)
-    for epoch in range(cfg.epochs):
-        for _ in range(steps):
-            try:
-                chi_b, b_b, mag_b, mask_b = _draw_batch(ds, cfg, rng,
-                                                        meta.b0_dir)
-                ad.zero_grads(all_params)
-                report, total_g, gan_d = total_generator_loss(
-                    chi_b, b_b, gen, disc, kernel, weights=cfg.weights,
-                    mag_batch=mag_b, mask_batch=mask_b, norm=cfg.norm,
-                    mask_losses=cfg.mask_losses)
-                ad.backward(total_g)
-                adam_step(gen.params, _grads(gen.params), g_state, cfg.lr,
-                          cfg.beta1, cfg.beta2)
-                ad.zero_grads(all_params)
-                ad.backward(gan_d)
-                adam_step(disc.params, _grads(disc.params), d_state, cfg.lr,
-                          cfg.beta1, cfg.beta2)
-                ad.zero_grads(all_params)
-                for _ in range(cfg.d_steps_per_g_step - 1):
-                    chi_b, b_b, mag_b, mask_b = _draw_batch(ds, cfg, rng,
-                                                            meta.b0_dir)
-                    fakes = [apply_generator(gen, b, m).detach()
-                             for b, m in zip(b_b, mag_b)]
-                    extra_d, _ = lsgan_losses(disc, chi_b, fakes, mask_b)
-                    ad.backward(extra_d)
-                    adam_step(disc.params, _grads(disc.params), d_state,
-                              cfg.lr, cfg.beta1, cfg.beta2)
-                    ad.zero_grads(all_params)
-            except NumericalError as exc:
-                _halt(gen, disc, ckdir, epoch, len(rows), exc)
-            rows.append(report)
-        if ckdir is not None:
-            save_checkpoint(gen, ckdir / f"gen_epoch{epoch:03d}.dbc1")
-            save_checkpoint(disc, ckdir / f"disc_epoch{epoch:03d}.dbc1")
-    if log_path is not None:
-        write_log_csv(rows, log_path, steps)
+    rows = _run(step, {"gen": gen, "disc": disc}, cfg.epochs, steps,
+                checkpoint_dir, log_path,
+                lambda rows, path: write_log_csv(rows, path, steps))
     return gen, rows
-
-
-def write_log_csv(rows: list[LossReport], path, steps_per_epoch: int) -> None:
-    """One CSV row per generator step; repr-precision floats and a fixed line
-    terminator so identical runs serialize to identical bytes."""
-    if steps_per_epoch < 1:
-        raise InputError("steps_per_epoch must be >= 1")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["step", "epoch", "cycle", "gan_g", "gan_d", "grad", "tv",
-                    "total"])
-        for i, r in enumerate(rows):
-            w.writerow([i, i // steps_per_epoch] + [repr(v) for v in r.row()])
 
 
 def window_origins(n: int, p: int, stride: int) -> list[int]:
@@ -375,29 +410,20 @@ def infer_stitched(gen, field: RealVolume, magnitude: RealVolume | None,
     """
     meta = field.meta
     p = cfg.patch_size
-    if isinstance(gen, Generator) and p % gen.divisor:
-        raise InputError(
-            f"patch_size {p} must be divisible by {gen.divisor}")
-    if magnitude is not None and magnitude.meta != meta:
-        raise InputError("magnitude geometry does not match field")
-    if mask is not None and mask.meta != meta:
-        raise InputError("mask geometry does not match field")
+    if isinstance(gen, Generator):
+        _require_divisible(gen, "patch_size", p)
+    _require_field_grid(meta, magnitude, mask)
     dims = meta.dims
     pad = [(0, max(n, p) - n) for n in dims]
     f = np.pad(field.data, pad)
     m = np.pad(magnitude.data if magnitude is not None else np.ones(dims), pad)
-    out = np.zeros(f.shape)
-    cnt = np.zeros(f.shape)
+    out, cnt = np.zeros(f.shape), np.zeros(f.shape)
     origins = [window_origins(n, p, cfg.stride) for n in f.shape]
-    for ox in origins[0]:
-        for oy in origins[1]:
-            for oz in origins[2]:
-                sl = (slice(ox, ox + p), slice(oy, oy + p), slice(oz, oz + p))
-                phase = _to_tensor(f[sl])
-                mag = _to_tensor(m[sl])
-                pred = apply_generator(gen, phase, mag)
-                out[sl] += pred.data[0].astype(np.float64)
-                cnt[sl] += 1.0
+    for origin in itertools.product(*origins):
+        sl = _slices(origin, p)
+        pred = apply_generator(gen, _to_tensor(f[sl]), _to_tensor(m[sl]))
+        out[sl] += pred.data[0].astype(np.float64)
+        cnt[sl] += 1.0
     out = (out / cnt)[:dims[0], :dims[1], :dims[2]]
     if mask is not None:
         out = out * mask.data
@@ -408,14 +434,15 @@ def optimize_dip(field: RealVolume, magnitude: RealVolume | None,
                  mask: Mask | None, kernel: DipoleKernel, lam: float = 1e-3,
                  iters: int = 200, lr: float = 1e-3, seed: int = 0,
                  depth: int = 3, base_channels: int = 8, beta1: float = 0.5,
-                 beta2: float = 0.999) -> tuple[RealVolume, list[float]]:
+                 beta2: float = 0.999, log_path=None
+                 ) -> tuple[RealVolume, list[float]]:
     """Deep-prior inversion of a single volume, no training data.
 
     A freshly initialized half-width generator driven by a fixed uniform
     noise input is fit with Adam to the phasor data term (weighted by
     magnitude * mask) plus lam * TV on this one volume. Returns the
     best-objective iterate (masked when a mask is given) and the
-    per-iteration objective trace.
+    per-iteration objective trace, also written to log_path when given.
     """
     meta = field.meta
     kernel.require_grid(meta)
@@ -423,15 +450,9 @@ def optimize_dip(field: RealVolume, magnitude: RealVolume | None,
         raise InputError(f"iters must be >= 1, got {iters}")
     if not (np.isfinite(lr) and lr > 0):
         raise InputError(f"lr must be finite and > 0, got {lr}")
-    if magnitude is not None and magnitude.meta != meta:
-        raise InputError("magnitude geometry does not match field")
-    if mask is not None and mask.meta != meta:
-        raise InputError("mask geometry does not match field")
+    _require_field_grid(meta, magnitude, mask)
     gen = build_generator(depth=depth, base_channels=base_channels, seed=seed)
-    bad = [n for n in meta.dims if n % gen.divisor]
-    if bad:
-        raise InputError(
-            f"volume dims {meta.dims} must be divisible by {gen.divisor}")
+    _require_divisible(gen, "volume dims", meta.dims)
     w_arr = magnitude.data if magnitude is not None else np.ones(meta.dims)
     if mask is not None:
         w_arr = w_arr * mask.data
@@ -442,75 +463,50 @@ def optimize_dip(field: RealVolume, magnitude: RealVolume | None,
     state = AdamState()
     params = list(gen.params.values())
     best_val, best_chi = np.inf, None
-    trace: list[float] = []
-    for it in range(iters):
-        try:
-            ad.zero_grads(params)
-            chi = forward_generator(gen, phase_in, mag_in)
-            loss = dip_loss(chi, field.data, w_arr, kernel, lam=lam)
-            val = loss.item()
-            if val < best_val:
-                best_val = val
-                best_chi = chi.data[0].astype(np.float64)
-            ad.backward(loss)
-            adam_step(gen.params, _grads(gen.params), state, lr, beta1, beta2)
-        except NumericalError as exc:
-            raise NumericalError(
-                f"non-finite value at iteration {it}") from exc
-        trace.append(val)
+
+    def step() -> float:
+        nonlocal best_val, best_chi
+        chi = forward_generator(gen, phase_in, mag_in)
+        loss = dip_loss(chi, field.data, w_arr, kernel, lam=lam)
+        val = loss.item()
+        if val < best_val:
+            best_val, best_chi = val, chi.data[0].astype(np.float64)
+        _update(loss, gen, state, lr, beta1, beta2, params)
+        return val
+
+    trace = _run(step, {"gen": gen}, 1, iters, log_path=log_path)
     out = best_chi if mask is None else best_chi * mask.data
     return RealVolume(meta, out), trace
 
 
 def train_uqsm(ds: UnpairedDataset, gen: Generator, cfg: TrainConfig,
-               lam: float = 1e-3, checkpoint_dir=None
+               lam: float = 1e-3, checkpoint_dir=None, log_path=None
                ) -> tuple[Generator, list[float]]:
     """Field-only training: fit the generator across random field patches to
     the phasor data term (weighted by magnitude * mask) plus lam * TV. No
     discriminator and no chi labels; same sampling, augmentation, halt, and
     checkpoint machinery as the adversarial trainer. Returns the generator
-    and the per-step objective trace.
+    and the per-step objective trace, also written to log_path when given.
     """
-    if cfg.patch_size % gen.divisor:
-        raise InputError(
-            f"patch_size {cfg.patch_size} must be divisible by {gen.divisor}")
+    _require_divisible(gen, "patch_size", cfg.patch_size)
     rng = np.random.default_rng(cfg.seed)
     meta = ds.patch_meta(cfg.patch_size)
     kernel = build_dipole(meta)
     state = AdamState()
     params = list(gen.params.values())
-    ckdir = Path(checkpoint_dir) if checkpoint_dir is not None else None
-    if ckdir is not None:
-        ckdir.mkdir(parents=True, exist_ok=True)
-    trace: list[float] = []
+
+    def step() -> float:
+        field_p, _, mask_p = sample_patches(ds, cfg, rng, cfg.batch_size)
+        terms = []
+        for (phase, mag), mask in zip(field_p, mask_p):
+            phase, mag, mask = augment([phase, mag, mask], rng, meta.b0_dir)
+            chi = forward_generator(gen, _to_tensor(phase), _to_tensor(mag))
+            terms.append(dip_loss(chi, phase, mag * mask, kernel, lam=lam))
+        total = _batch_mean(terms)
+        _update(total, gen, state, cfg.lr, cfg.beta1, cfg.beta2, params)
+        return total.item()
+
     steps = max(1, cfg.patches_per_epoch // cfg.batch_size)
-    for epoch in range(cfg.epochs):
-        for _ in range(steps):
-            try:
-                field_p, _, mask_p = sample_patches(ds, cfg, rng,
-                                                    cfg.batch_size)
-                total = None
-                for (phase, mag), mask in zip(field_p, mask_p):
-                    phase, mag, mask = augment([phase, mag, mask], rng,
-                                               meta.b0_dir)
-                    chi = forward_generator(gen, _to_tensor(phase),
-                                            _to_tensor(mag))
-                    term = dip_loss(chi, phase, mag * mask, kernel, lam=lam)
-                    total = term if total is None else ad.add(total, term)
-                total = total * (1.0 / len(field_p))
-                ad.zero_grads(params)
-                ad.backward(total)
-                adam_step(gen.params, _grads(gen.params), state, cfg.lr,
-                          cfg.beta1, cfg.beta2)
-                ad.zero_grads(params)
-            except NumericalError as exc:
-                msg = (f"training halted at epoch {epoch}, step "
-                       f"{len(trace)}: {exc}")
-                if ckdir is not None and _params_finite(gen):
-                    save_checkpoint(gen, ckdir / "gen_last_good.dbc1")
-                    msg += "; pre-step parameters saved to gen_last_good.dbc1"
-                raise NumericalError(msg) from exc
-            trace.append(total.item())
-        if ckdir is not None:
-            save_checkpoint(gen, ckdir / f"gen_epoch{epoch:03d}.dbc1")
+    trace = _run(step, {"gen": gen}, cfg.epochs, steps, checkpoint_dir,
+                 log_path)
     return gen, trace

@@ -304,6 +304,32 @@ class TestExitCodes:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "uqsm", "dip"])
+    def test_halted_run_keeps_completed_rows(self, command, sphere_files,
+                                             tmp_path, capsys):
+        field, log = sphere_files["field"], str(tmp_path / "log.csv")
+        ckdir = tmp_path / "ck"
+        small = ["--lr", "1e18", "--epochs", "1", "--patches-per-epoch", "3",
+                 "--patch-size", "12", "--gen-depth", "2", "--gen-channels",
+                 "4", "--checkpoint-dir", str(ckdir)]
+        argv = {
+            "train": ["train", "--fields", field, "--chis", sphere_files["chi"],
+                      "--out-gen", str(tmp_path / "g.dbc"), "--log", log,
+                      "--disc-layers", "1", "--disc-channels", "4"] + small,
+            "uqsm": ["uqsm", "--fields", field, "--out-gen",
+                     str(tmp_path / "g.dbc"), "--trace", log] + small,
+            "dip": ["dip", "--field", field, "--out", str(tmp_path / "d.dbv"),
+                    "--trace", log, "--lr", "1e18", "--iters", "5",
+                    "--depth", "2", "--channels", "4"],
+        }[command]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "training halted at epoch 0, generator step 1:" in err
+        lines = Path(log).read_text().splitlines()
+        assert [ln.split(",")[0] for ln in lines[1:]] == ["0"]  # step 0 only
+        if command != "dip":
+            assert (ckdir / "gen_last_good.dbc1").exists()
+
 
 class TestTrainInfer:
     def test_train_then_infer_smoke(self, sphere_files, tmp_path, capsys):

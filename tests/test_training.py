@@ -2,12 +2,15 @@
 optimization, and stitched inference: determinism, unpairedness, transform
 group identities, counting oracles, and descent smoke checks."""
 
+import ast
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import qsmkit.training as tr
 from qsmkit import autodiff as ad
 from qsmkit.autodiff import Tensor
 from qsmkit.dipole import build_dipole
@@ -262,6 +265,20 @@ def tiny_models():
     return gen, disc
 
 
+def fail_after(monkeypatch, name, ok_calls):
+    """Make training.<name> raise NumericalError after ok_calls calls."""
+    real = getattr(tr, name)
+    calls = {"n": 0}
+
+    def flaky(*args, **kw):
+        calls["n"] += 1
+        if calls["n"] > ok_calls:
+            raise NumericalError("synthetic overflow")
+        return real(*args, **kw)
+
+    monkeypatch.setattr(tr, name, flaky)
+
+
 class TestTrainCycle:
     def test_deterministic_rerun(self, tmp_path):
         ds = make_dataset()
@@ -309,17 +326,7 @@ class TestTrainCycle:
             assert np.array_equal(reloaded.params[n].data, t.data)
 
     def test_halt_saves_last_good(self, tmp_path, monkeypatch):
-        import qsmkit.training as tr
-        real = tr.total_generator_loss
-        calls = {"n": 0}
-
-        def flaky(*args, **kw):
-            calls["n"] += 1
-            if calls["n"] > 1:
-                raise NumericalError("synthetic overflow")
-            return real(*args, **kw)
-
-        monkeypatch.setattr(tr, "total_generator_loss", flaky)
+        fail_after(monkeypatch, "total_generator_loss", 1)
         ds = make_dataset()
         cfg = TrainConfig(epochs=1, patches_per_epoch=3, patch_size=8,
                           lr=1e-4, seed=3)
@@ -537,6 +544,17 @@ class TestDip:
         _, trace = self.run_dip(iters=15)
         assert min(trace) <= trace[-1]
 
+    def test_halt_keeps_trace(self, tmp_path, monkeypatch):
+        fail_after(monkeypatch, "dip_loss", 2)
+        log = tmp_path / "trace.csv"
+        with pytest.raises(NumericalError, match=(
+                r"^training halted at epoch 0, generator step 2: "
+                r"synthetic overflow$")):
+            self.run_dip(iters=5, log_path=log)
+        lines = log.read_text().splitlines()
+        assert lines[0] == "iteration,objective"
+        assert [ln.split(",")[0] for ln in lines[1:]] == ["0", "1"]
+
     def test_validation(self):
         other = VolumeMeta((4, 4, 4), (1.0, 1.0, 1.0), (0.0, 0.0, 1.0))
         with pytest.raises(InputError, match="kernel grid"):
@@ -597,3 +615,49 @@ class TestUqsm:
         with pytest.raises(InputError, match="divisible"):
             train_uqsm(ds, gen, TrainConfig(epochs=1, patches_per_epoch=1,
                                             patch_size=10))
+
+    def test_halt_saves_last_good_and_log(self, tmp_path, monkeypatch):
+        fail_after(monkeypatch, "dip_loss", 1)
+        cfg = TrainConfig(epochs=2, patches_per_epoch=3, patch_size=8,
+                          lr=1e-4, seed=11)
+        gen = build_generator(depth=2, base_channels=4, seed=3)
+        log = tmp_path / "trace.csv"
+        with pytest.raises(NumericalError, match=(
+                r"^training halted at epoch 0, generator step 1: synthetic "
+                r"overflow; pre-step parameters saved to gen_last_good.dbc1$")):
+            train_uqsm(make_dataset(), gen, cfg, checkpoint_dir=tmp_path,
+                       log_path=log)
+        saved = load_checkpoint(tmp_path / "gen_last_good.dbc1")
+        for n, t in gen.params.items():
+            assert np.array_equal(saved.params[n].data, t.data)
+        assert not (tmp_path / "disc_last_good.dbc1").exists()
+        assert len(log.read_text().splitlines()) == 2
+
+
+class TestOneRunDriver:
+    """The optimisation loop is written once: only ``_update`` runs backward
+    and Adam, and only the driver ``_run`` catches NumericalError."""
+
+    def owners(self, match):
+        tree = ast.parse(Path(tr.__file__).read_text())
+        found = []
+        for fn in tree.body:
+            for node in ast.walk(fn):
+                if match(node):
+                    found.append(getattr(fn, "name", "<module>"))
+        return sorted(found)
+
+    def test_backward_and_adam_only_in_update(self):
+        def call(node):
+            return (isinstance(node, ast.Call)
+                    and ast.unparse(node.func) in ("adam_step", "ad.backward",
+                                                   "backward"))
+
+        assert self.owners(call) == ["_update", "_update"]
+
+    def test_numerical_error_caught_only_in_driver(self):
+        def handler(node):
+            return (isinstance(node, ast.ExceptHandler) and node.type is not None
+                    and "NumericalError" in ast.unparse(node.type))
+
+        assert self.owners(handler) == ["_run"]
