@@ -12,8 +12,8 @@ flag > config file > built-in default.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .classical import (
     medi_invert,
     tkd_invert,
 )
-from .config import last_value, read_config, read_config_items
+from .config import read_config_items
 from .dipole import build_dipole, naive_inverse
 from .errors import InputError, NumericalError, QsmError
 from .gradcheck import F32_TOL, F64_TOL, LOSSES, OPS, run_suite
@@ -51,6 +51,7 @@ from .phantom import (
 from .training import (
     TrainConfig,
     UnpairedDataset,
+    csv_text,
     infer_stitched,
     optimize_dip,
     train_cycleqsm,
@@ -211,17 +212,9 @@ def cmd_cgls(args) -> int:
 # ------------------------------------------------------ trained pipelines
 
 
-def _resolve(args, cfg: dict, key: str, typ, default):
-    flag = getattr(args, key)
-    if flag is not None:
-        return flag
-    s = last_value(cfg, key)
-    if s is not None:
-        return _convert(s, typ, key)
-    return default
-
-
 def _add_table_flags(p: argparse.ArgumentParser, table) -> None:
+    p.add_argument("--config", help="key=value file mirroring the flag "
+                                    "names below")
     for key, typ, default, help_ in table:
         p.add_argument(f"--{key.replace('_', '-')}",
                        type=_bool if typ is bool else typ, default=None,
@@ -230,15 +223,20 @@ def _add_table_flags(p: argparse.ArgumentParser, table) -> None:
 
 
 def _read_table(args, table) -> dict:
-    cfg_path = getattr(args, "config", None)
-    cfg = read_config(cfg_path) if cfg_path else {}
+    """Resolve each table key as flag > config file (its last assignment) >
+    default."""
+    cfg = dict(read_config_items(args.config)) if args.config else {}
     known = {key for key, *_ in table}
     for k in cfg:
         if k not in known:
             raise InputError(
                 f"unknown config key {k!r} (known: {', '.join(sorted(known))})")
-    return {key: _resolve(args, cfg, key, typ, default)
-            for key, typ, default, _ in table}
+    vals = {}
+    for key, typ, default, _ in table:
+        flag = getattr(args, key)
+        vals[key] = (flag if flag is not None
+                     else _convert(cfg[key], typ, key) if key in cfg else default)
+    return vals
 
 
 _D = TrainConfig()
@@ -300,24 +298,12 @@ INFER_TABLE = [
 
 
 def _train_config(vals: dict) -> TrainConfig:
-    return TrainConfig(
-        epochs=vals["epochs"], patches_per_epoch=vals["patches_per_epoch"],
-        patch_size=vals["patch_size"],
-        infer_stride=vals.get("infer_stride"),
-        lr=vals["lr"], beta1=vals["beta1"], beta2=vals["beta2"],
-        weights=LossWeights(vals.get("gamma", _W.gamma),
-                            vals.get("eta", _W.eta),
-                            vals.get("rho", _W.rho),
-                            vals.get("gan", _W.gan)),
-        seed=vals["seed"],
-        d_steps_per_g_step=vals.get("d_steps_per_g_step",
-                                    _D.d_steps_per_g_step),
-        batch_size=vals["batch_size"], norm=vals.get("norm", _D.norm),
-        mask_losses=vals.get("mask_losses", _D.mask_losses))
+    """TrainConfig and its LossWeights from the table keys that name their
+    fields; keys a table lacks keep the dataclass defaults."""
+    def pick(cls) -> dict:
+        return {f.name: vals[f.name] for f in fields(cls) if f.name in vals}
 
-
-def _ones_volume(meta: VolumeMeta) -> RealVolume:
-    return RealVolume(meta, np.ones(meta.dims))
+    return TrainConfig(**pick(TrainConfig), weights=LossWeights(**pick(LossWeights)))
 
 
 def _field_cases(field_paths, mag_paths, mask_paths) -> tuple:
@@ -335,7 +321,7 @@ def _field_cases(field_paths, mag_paths, mask_paths) -> tuple:
     for i, fp in enumerate(field_paths):
         field = read_volume(fp)
         mag = (read_volume(mag_paths[i]) if mag_paths
-               else _ones_volume(field.meta))
+               else RealVolume(field.meta, np.ones(field.meta.dims)))
         mask = (read_mask(mask_paths[i]) if mask_paths
                 else Mask(field.meta, np.ones(field.meta.dims)))
         cases.append(SimulatedCase(
@@ -403,10 +389,8 @@ def cmd_uqsm(args) -> int:
     vals = _read_table(args, UQSM_TABLE)
     cases = _field_cases(args.fields, args.mags, args.masks)
     # the sampler draws from both dataset sides; this objective never reads
-    # the chi side, so a zero volume stands in
-    ds = UnpairedDataset(
-        cases, (RealVolume(cases[0].field.meta,
-                           np.zeros(cases[0].field.meta.dims)),))
+    # the chi side, so the zero placeholder of the first case stands in
+    ds = UnpairedDataset(cases, (cases[0].chi,))
     gen = build_generator(depth=vals["gen_depth"],
                           base_channels=vals["gen_channels"],
                           seed=vals["gen_seed"])
@@ -450,9 +434,7 @@ def cmd_eval(args) -> int:
                       roi_means(recon, rois))
     elif args.roi_means:
         raise InputError("--roi-means needs at least one --roi")
-    w = csv.writer(sys.stdout, lineterminator="\n")
-    w.writerow(header)
-    w.writerow([repr(float(v)) for v in row])
+    sys.stdout.write(csv_text(header, [row]))
     if args.out:
         write_csv(args.out, header, [row])
     return 0
@@ -484,6 +466,19 @@ def cmd_gradcheck(args) -> int:
 
 def _add_seed(p: argparse.ArgumentParser, help_: str = "random seed") -> None:
     p.add_argument("--seed", type=int, default=0, help=f"{help_} (default 0)")
+
+
+def _add_training_io(p: argparse.ArgumentParser) -> None:
+    """The input and output flags of the patch trainers, train and uqsm."""
+    p.add_argument("--fields", nargs="+", required=True,
+                   help="field volumes (DBV1), the measurement side")
+    p.add_argument("--mags", nargs="+",
+                   help="magnitude volume per field (default all ones)")
+    p.add_argument("--masks", nargs="+",
+                   help="mask per field (default all ones)")
+    p.add_argument("--out-gen", required=True,
+                   help="write the trained generator here (DBC1)")
+    p.add_argument("--checkpoint-dir", help="per-epoch checkpoints go here")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -587,21 +582,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train the dipole-inversion generator on unpaired "
                     "field and chi volumes. Values resolve as flag > "
                     "--config file > default.")
-    p.add_argument("--fields", nargs="+", required=True,
-                   help="field volumes (DBV1), the measurement side")
+    _add_training_io(p)
     p.add_argument("--chis", nargs="+", required=True,
                    help="chi volumes (DBV1), the unpaired label side")
-    p.add_argument("--mags", nargs="+",
-                   help="magnitude volume per field (default all ones)")
-    p.add_argument("--masks", nargs="+",
-                   help="mask per field (default all ones)")
-    p.add_argument("--out-gen", required=True,
-                   help="write the trained generator here (DBC1)")
     p.add_argument("--out-disc", help="also write the discriminator (DBC1)")
-    p.add_argument("--checkpoint-dir", help="per-epoch checkpoints go here")
     p.add_argument("--log", help="write the per-step loss CSV here")
-    p.add_argument("--config", help="key=value file mirroring the flag "
-                                    "names below")
     _add_table_flags(p, TRAIN_TABLE)
     p.set_defaults(func=cmd_train)
 
@@ -614,8 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output chi (DBV1)")
     p.add_argument("--magnitude", help="magnitude volume (default all ones)")
     p.add_argument("--mask", help="mask applied to the stitched output")
-    p.add_argument("--config", help="key=value file mirroring the flag "
-                                    "names below")
     _add_table_flags(p, INFER_TABLE)
     _add_seed(p, "unused; inference is deterministic")
     p.set_defaults(func=cmd_infer)
@@ -630,8 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--magnitude", help="data weight (default all ones)")
     p.add_argument("--mask", help="restricts the data term and the output")
     p.add_argument("--trace", help="write the objective trace CSV here")
-    p.add_argument("--config", help="key=value file mirroring the flag "
-                                    "names below")
     _add_table_flags(p, DIP_TABLE)
     p.set_defaults(func=cmd_dip)
 
@@ -640,18 +621,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train the generator across field patches on the "
                     "phasor data term plus TV; no chi labels and no "
                     "discriminator.")
-    p.add_argument("--fields", nargs="+", required=True,
-                   help="field volumes (DBV1)")
-    p.add_argument("--mags", nargs="+",
-                   help="magnitude volume per field (default all ones)")
-    p.add_argument("--masks", nargs="+",
-                   help="mask per field (default all ones)")
-    p.add_argument("--out-gen", required=True,
-                   help="write the trained generator here (DBC1)")
-    p.add_argument("--checkpoint-dir", help="per-epoch checkpoints go here")
+    _add_training_io(p)
     p.add_argument("--trace", help="write the objective trace CSV here")
-    p.add_argument("--config", help="key=value file mirroring the flag "
-                                    "names below")
     _add_table_flags(p, UQSM_TABLE)
     p.set_defaults(func=cmd_uqsm)
 

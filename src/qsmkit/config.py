@@ -2,8 +2,9 @@
 
 Format: one ``key = value`` per line; blank lines and lines whose first
 non-space character is ``#`` are ignored. Keys may repeat, and every
-occurrence is kept in file order, which is how shape lists are written.
-Values are raw strings; interpretation belongs to the consumer.
+occurrence is kept in file order, which is how shape lists are written;
+``dict(items)`` gives the last assignment of each key. Values are raw
+strings; interpretation belongs to the consumer.
 """
 
 from __future__ import annotations
@@ -11,14 +12,6 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import InputError
-
-__all__ = [
-    "last_value",
-    "parse_config_items",
-    "parse_config_text",
-    "read_config",
-    "read_config_items",
-]
 
 
 def parse_config_items(text: str, source: str = "<config>"
@@ -42,34 +35,10 @@ def parse_config_items(text: str, source: str = "<config>"
     return items
 
 
-def parse_config_text(text: str, source: str = "<config>"
-                      ) -> dict[str, list[str]]:
-    """Parse config text into {key: [values in file order]}."""
-    out: dict[str, list[str]] = {}
-    for key, value in parse_config_items(text, source):
-        out.setdefault(key, []).append(value)
-    return out
-
-
-def _read_text(path: str | Path) -> tuple[str, str]:
+def read_config_items(path: str | Path) -> list[tuple[str, str]]:
     p = Path(path)
     try:
-        return p.read_text(encoding="utf-8"), str(p)
+        text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read config file {p}: {exc}") from exc
-
-
-def read_config(path: str | Path) -> dict[str, list[str]]:
-    text, source = _read_text(path)
-    return parse_config_text(text, source=source)
-
-
-def read_config_items(path: str | Path) -> list[tuple[str, str]]:
-    text, source = _read_text(path)
-    return parse_config_items(text, source=source)
-
-
-def last_value(cfg: dict[str, list[str]], key: str) -> str | None:
-    """The final assignment wins for scalar keys; None when absent."""
-    vals = cfg.get(key)
-    return vals[-1] if vals else None
+    return parse_config_items(text, source=str(p))

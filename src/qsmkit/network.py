@@ -8,7 +8,6 @@ dictionaries of Tensors driven by the ops in autodiff.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,12 +15,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import (
-    InputError,
-    MalformedHeaderError,
-    NonFinitePayloadError,
-    PayloadSizeError,
-)
+from .errors import InputError, MalformedHeaderError
+from .volume import read_framed, write_framed
 
 DBC1_MAGIC = "DBC1"
 LEAKY_SLOPE = 0.2
@@ -226,63 +221,40 @@ def _model_kind(model) -> str:
 def save_checkpoint(model: Generator | Discriminator, path: str | Path) -> None:
     """DBC1: one-line JSON header (kind, config, named shapes), newline, then
     the parameter blobs as little-endian float32 in header order."""
-    header = {
+    write_framed(path, {
         "magic": DBC1_MAGIC,
         "kind": _model_kind(model),
         "config": model.config(),
         "params": [{"name": n, "shape": list(t.data.shape)}
                    for n, t in model.params.items()],
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8"))
-        fh.write(b"\n")
-        for t in model.params.values():
-            fh.write(np.asarray(t.data, dtype="<f4").ravel().tobytes())
+    }, [t.data for t in model.params.values()])
 
 
 def load_checkpoint(path: str | Path) -> Generator | Discriminator:
-    raw = Path(path).read_bytes()
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise MalformedHeaderError(f"{path}: no header line")
-    try:
-        header = json.loads(raw[:nl].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedHeaderError(f"{path}: unparseable header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("magic") != DBC1_MAGIC:
-        raise MalformedHeaderError(f"{path}: missing or wrong magic")
-    for key in ("kind", "config", "params"):
-        if key not in header:
-            raise MalformedHeaderError(f"{path}: header missing field {key!r}")
-    kind = header["kind"]
-    cfg = header["config"]
-    try:
-        if kind == "generator":
-            model = build_generator(**cfg)
-        elif kind == "discriminator":
-            model = build_discriminator(**cfg)
-        else:
-            raise MalformedHeaderError(f"{path}: unknown kind {kind!r}")
-        entries = [(e["name"], tuple(e["shape"])) for e in header["params"]]
-    except (TypeError, KeyError) as exc:
-        raise MalformedHeaderError(f"{path}: bad config or params: {exc}") from exc
-    if [n for n, _ in entries] != list(model.params.keys()):
-        raise MalformedHeaderError(f"{path}: parameter names do not match {kind} config")
-    total = sum(int(np.prod(s)) for _, s in entries)
-    payload = raw[nl + 1:]
-    if len(payload) != total * 4:
-        raise PayloadSizeError(
-            f"{path}: payload is {len(payload)} bytes, header implies {total * 4}")
-    flat = np.frombuffer(payload, dtype="<f4")
-    if not np.all(np.isfinite(flat)):
-        raise NonFinitePayloadError(f"{path}: payload contains non-finite values")
+    def parse(header: dict) -> tuple:
+        kind = header["kind"]
+        try:
+            if kind == "generator":
+                model = build_generator(**header["config"])
+            elif kind == "discriminator":
+                model = build_discriminator(**header["config"])
+            else:
+                raise MalformedHeaderError(f"{path}: unknown kind {kind!r}")
+            entries = [(e["name"], tuple(e["shape"])) for e in header["params"]]
+        except (TypeError, KeyError) as exc:
+            raise MalformedHeaderError(f"{path}: bad config or params: {exc}") from exc
+        if [n for n, _ in entries] != list(model.params.keys()):
+            raise MalformedHeaderError(f"{path}: parameter names do not match {kind} config")
+        for name, shape in entries:
+            if model.params[name].data.shape != shape:
+                raise MalformedHeaderError(
+                    f"{path}: shape {shape} for {name} does not match architecture")
+        return model, sum(int(np.prod(s)) for _, s in entries)
+
+    model, flat = read_framed(path, DBC1_MAGIC, ("kind", "config", "params"), parse)
     offset = 0
-    for name, shape in entries:
-        if model.params[name].data.shape != shape:
-            raise MalformedHeaderError(
-                f"{path}: shape {shape} for {name} does not match architecture")
-        count = int(np.prod(shape))
-        block = flat[offset:offset + count].reshape(shape).astype(np.float32)
-        model.params[name] = Tensor(block, requires_grad=True)
-        offset += count
+    for name, t in model.params.items():
+        block = flat[offset:offset + t.data.size].reshape(t.data.shape)
+        model.params[name] = Tensor(block.astype(np.float32), requires_grad=True)
+        offset += t.data.size
     return model

@@ -17,6 +17,7 @@ parameter trajectories, logs, and outputs bit for bit on one thread.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import logging
 from dataclasses import dataclass
@@ -271,16 +272,20 @@ def _update(loss: Tensor, model, state: AdamState, lr: float, beta1: float,
     ad.zero_grads(params)
 
 
+def csv_text(header: list[str], rows) -> str:
+    """A header and one line per row: ints and strings as they are, every
+    other value as repr(float), with '\\n' line ends, so identical values
+    serialize to identical bytes."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows([v if isinstance(v, (int, str)) else repr(float(v)) for v in row]
+                for row in rows)
+    return buf.getvalue()
+
+
 def write_csv(path, header: list[str], rows) -> None:
-    """Write a header and one line per row: ints and strings as they are,
-    every other value as repr(float), with '\\n' line ends, so identical
-    values serialize to identical bytes."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([v if isinstance(v, (int, str)) else repr(float(v))
-                        for v in row])
+    Path(path).write_text(csv_text(header, rows), newline="")
 
 
 def write_log_csv(rows: list[LossReport], path, steps_per_epoch: int) -> None:
@@ -302,9 +307,12 @@ def _run(step, models: dict, epochs: int, steps: int, checkpoint_dir=None,
 
     After each epoch every model is saved as ``<name>_epoch<NNN>.dbc1`` in
     checkpoint_dir. A NumericalError from a step halts the run with the epoch
-    and generator step in the message; while the parameters are still finite
-    each model is saved as ``<name>_last_good.dbc1``. The rows completed so
-    far reach ``write_log(rows, log_path)`` whether the run ends or halts.
+    and generator step in the message. With a checkpoint_dir, the parameters
+    from the start of the last step that completed (or of the halted one when
+    none did) are saved as ``<name>_last_good.dbc1`` if they are finite: a
+    diverging update shows as a failure only one step later. The rows
+    completed so far reach ``write_log(rows, log_path)`` whether the run ends
+    or halts.
     """
     ckdir = Path(checkpoint_dir) if checkpoint_dir is not None else None
     if ckdir is not None:
@@ -316,19 +324,33 @@ def _run(step, models: dict, epochs: int, steps: int, checkpoint_dir=None,
 
     params = [t for m in models.values() for t in m.params.values()]
     ad.zero_grads(params)
+    # snaps[0]: parameters at the start of the last completed step;
+    # snaps[1]: at the start of the step running now
+    snaps = [[t.data.copy() for t in params] for _ in range(2)] if ckdir else None
     rows: list = []
     try:
         for epoch in range(epochs):
             for _ in range(steps):
+                if snaps:
+                    for t, buf in zip(params, snaps[1]):
+                        np.copyto(buf, t.data)
                 rows.append(step())
+                if snaps:
+                    snaps.reverse()
             if ckdir is not None:
                 save(f"epoch{epoch:03d}")
     except NumericalError as exc:
         msg = (f"training halted at epoch {epoch}, generator step "
                f"{len(rows)}: {exc}")
-        if ckdir is not None and all(np.isfinite(t.data).all() for t in params):
+        if snaps and all(np.isfinite(buf).all() for buf in snaps[0]):
+            live = [t.data for t in params]
+            for t, buf in zip(params, snaps[0]):
+                t.data = buf
             save("last_good")
-            msg += "; pre-step parameters saved to " + " and ".join(
+            for t, data in zip(params, live):
+                t.data = data
+            msg += (f"; parameters from before generator step "
+                    f"{max(len(rows) - 1, 0)} saved to ") + " and ".join(
                 f"{name}_last_good.dbc1" for name in models)
         elif ckdir is not None:
             msg += ("; parameters already non-finite, fall back to the "

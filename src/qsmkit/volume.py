@@ -1,4 +1,5 @@
-"""3D volume containers, the forward-difference operator pair, DBV1 file I/O.
+"""3D volume containers, the forward-difference operator pair, DBV1 file I/O
+and the framing it shares with DBC1 checkpoints.
 
 Arrays are indexed ``[x, y, z]`` with shape ``(nx, ny, nz)``. The serialized
 layout is x-fastest (a Fortran-order ravel of that indexing), so voxel
@@ -132,30 +133,23 @@ def forward_diff_adjoint(arr: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _header_dict(meta: VolumeMeta) -> dict:
-    return {
-        "magic": DBV1_MAGIC,
-        "dims": list(meta.dims),
-        "voxel_size_mm": [float(s) for s in meta.voxel_size],
-        "b0_dir": [float(c) for c in meta.b0_dir],
-        "dtype": "f32",
-    }
-
-
-def write_volume(v: RealVolume, path: str | Path) -> None:
-    """Serialize to DBV1: one-line JSON header, newline, raw little-endian f32."""
-    payload = np.asarray(v.data, dtype="<f4").ravel(order="F").tobytes()
+def write_framed(path: str | Path, header: dict, blocks) -> None:
+    """Write the DBV1/DBC1 framing: the header as one JSON line, then each
+    array in ``blocks`` as raw little-endian f32 in C order."""
     with open(path, "wb") as fh:
-        fh.write(json.dumps(_header_dict(v.meta)).encode("utf-8"))
+        fh.write(json.dumps(header).encode("utf-8"))
         fh.write(b"\n")
-        fh.write(payload)
+        for block in blocks:
+            fh.write(np.asarray(block, dtype="<f4").tobytes())
 
 
-def read_volume(path: str | Path) -> RealVolume:
-    """Parse a DBV1 file.
+def read_framed(path: str | Path, magic: str, fields, parse):
+    """Read a file written by ``write_framed``; return ``(obj, payload)``.
 
-    Raises MalformedHeaderError, PayloadSizeError, or NonFinitePayloadError
-    for the three documented failure classes.
+    The header must carry ``magic`` and every key in ``fields``; then
+    ``parse(header)`` returns ``(obj, count)``, raising MalformedHeaderError
+    for a header it rejects. The payload must hold exactly ``count`` finite
+    f32 values (PayloadSizeError, NonFinitePayloadError otherwise).
     """
     raw = Path(path).read_bytes()
     nl = raw.find(b"\n")
@@ -165,28 +159,50 @@ def read_volume(path: str | Path) -> RealVolume:
         header = json.loads(raw[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedHeaderError(f"{path}: unparseable header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("magic") != DBV1_MAGIC:
+    if not isinstance(header, dict) or header.get("magic") != magic:
         raise MalformedHeaderError(f"{path}: missing or wrong magic")
-    for key in ("dims", "voxel_size_mm", "b0_dir", "dtype"):
+    for key in fields:
         if key not in header:
             raise MalformedHeaderError(f"{path}: header missing field {key!r}")
-    if header["dtype"] != "f32":
-        raise MalformedHeaderError(f"{path}: unsupported dtype {header['dtype']!r}")
-    try:
-        meta = VolumeMeta(tuple(header["dims"]), tuple(header["voxel_size_mm"]),
-                          tuple(header["b0_dir"]))
-    except (InputError, TypeError) as exc:
-        raise MalformedHeaderError(f"{path}: bad geometry fields: {exc}") from exc
+    obj, count = parse(header)
     payload = raw[nl + 1:]
-    expected = meta.voxel_count * 4
-    if len(payload) != expected:
+    if len(payload) != count * 4:
         raise PayloadSizeError(
-            f"{path}: payload is {len(payload)} bytes, header implies {expected}")
-    arr = np.frombuffer(payload, dtype="<f4")
-    if not np.all(np.isfinite(arr)):
+            f"{path}: payload is {len(payload)} bytes, header implies {count * 4}")
+    flat = np.frombuffer(payload, dtype="<f4")
+    if not np.all(np.isfinite(flat)):
         raise NonFinitePayloadError(f"{path}: payload contains non-finite values")
-    data = arr.astype(np.float64).reshape(meta.dims, order="F")
-    return RealVolume(meta, data)
+    return obj, flat
+
+
+def write_volume(v: RealVolume, path: str | Path) -> None:
+    """Serialize to DBV1: one-line JSON header, newline, raw little-endian f32."""
+    meta = v.meta
+    write_framed(path, {"magic": DBV1_MAGIC, "dims": list(meta.dims),
+                        "voxel_size_mm": list(meta.voxel_size),
+                        "b0_dir": list(meta.b0_dir), "dtype": "f32"},
+                 [v.data.T])  # C order of the transpose is x-fastest
+
+
+def read_volume(path: str | Path) -> RealVolume:
+    """Parse a DBV1 file.
+
+    Raises MalformedHeaderError, PayloadSizeError, or NonFinitePayloadError
+    for the three documented failure classes.
+    """
+    def parse(header: dict) -> tuple[VolumeMeta, int]:
+        if header["dtype"] != "f32":
+            raise MalformedHeaderError(f"{path}: unsupported dtype {header['dtype']!r}")
+        try:
+            meta = VolumeMeta(tuple(header["dims"]), tuple(header["voxel_size_mm"]),
+                              tuple(header["b0_dir"]))
+        except (InputError, TypeError) as exc:
+            raise MalformedHeaderError(f"{path}: bad geometry fields: {exc}") from exc
+        return meta, meta.voxel_count
+
+    meta, flat = read_framed(path, DBV1_MAGIC,
+                             ("dims", "voxel_size_mm", "b0_dir", "dtype"), parse)
+    return RealVolume(meta, flat.astype(np.float64).reshape(meta.dims, order="F"))
 
 
 def read_mask(path: str | Path) -> Mask:

@@ -1,6 +1,7 @@
 """End-to-end command-line coverage: pipelines, exit codes, precedence,
 seeded reproducibility, and every README example."""
 
+import argparse
 import csv
 import os
 import shlex
@@ -14,6 +15,7 @@ import pytest
 import qsmkit
 from qsmkit import cli
 from qsmkit.dipole import build_dipole, forward_field
+from qsmkit.network import build_discriminator, build_generator, load_checkpoint
 from qsmkit.phantom import simulate_case
 from qsmkit.volume import RealVolume, read_mask, read_volume, write_volume
 
@@ -330,6 +332,32 @@ class TestExitCodes:
         if command != "dip":
             assert (ckdir / "gen_last_good.dbc1").exists()
 
+    @pytest.mark.parametrize("command", ["train", "uqsm"])
+    def test_halt_keeps_initial_parameters(self, command, sphere_files,
+                                           tmp_path, capsys):
+        # lr 1e18 makes step 0's update diverge, which shows only as the
+        # failure of step 1: the last good parameters are the initial ones
+        ckdir = tmp_path / "ck"
+        argv = [command, "--fields", sphere_files["field"],
+                "--out-gen", str(tmp_path / "g.dbc"), "--lr", "1e18",
+                "--epochs", "1", "--patches-per-epoch", "3",
+                "--patch-size", "12", "--gen-depth", "2",
+                "--gen-channels", "4", "--checkpoint-dir", str(ckdir)]
+        want = {"gen": build_generator(depth=2, base_channels=4, seed=0)}
+        if command == "train":
+            argv += ["--chis", sphere_files["chi"], "--disc-layers", "1",
+                     "--disc-channels", "4"]
+            want["disc"] = build_discriminator(n_layers=1, base_channels=4,
+                                               seed=1)
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "generator step 1: " in err
+        assert "parameters from before generator step 0 saved to" in err
+        for name, model in want.items():
+            saved = load_checkpoint(ckdir / f"{name}_last_good.dbc1")
+            for n, t in model.params.items():
+                assert np.array_equal(saved.params[n].data, t.data), (name, n)
+
 
 class TestTrainInfer:
     def test_train_then_infer_smoke(self, sphere_files, tmp_path, capsys):
@@ -413,6 +441,16 @@ class TestDipUqsm:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_repeated_config_key_last_assignment_wins(self, sphere_files,
+                                                       tmp_path):
+        cfg = write(tmp_path / "d.cfg",
+                    "iters = 2\ndepth = 2\niters = 4\nchannels = 4\n")
+        trace = tmp_path / "tr.csv"
+        assert cli.main(["dip", "--field", sphere_files["field"],
+                         "--out", str(tmp_path / "x.dbv"), "--config", cfg,
+                         "--trace", str(trace)]) == 0
+        assert len(read_rows(trace)) == 4
+
     def test_uqsm_trains_and_writes_trace(self, sphere_files, tmp_path,
                                           capsys):
         trace = tmp_path / "tr.csv"
@@ -433,6 +471,73 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "all gradient checks passed" in out
         assert "float32 worst:" in out and "float64 worst:" in out
+
+
+# per subcommand: every option string (help aside), the required options,
+# every non-None argparse default, and the options taking a list; values
+# from the config-file tables default to None here and resolve later
+FLAG_SURFACE = {
+    "phantom": ("--mask-out --out --seed --spec",
+                {"--out", "--spec"}, {"--seed": 0}, set()),
+    "forward": ("--chi --kernel-out --mag-out --mask --noise-sigma --out "
+                "--seed",
+                {"--chi", "--out"}, {"--noise-sigma": 0.0, "--seed": 0},
+                set()),
+    "naive": ("--eps --field --out --seed",
+              {"--field", "--out"}, {"--eps": 1e-6, "--seed": 0}, set()),
+    "tkd": ("--a --field --out --seed",
+            {"--field", "--out"}, {"--a": 0.1, "--seed": 0}, set()),
+    "medi": ("--edge-fraction --field --iters --lam --magnitude --out "
+             "--seed --step --trace",
+             {"--field", "--magnitude", "--out"},
+             {"--lam": 600.0, "--edge-fraction": 0.3, "--iters": 300,
+              "--step": 1.0, "--seed": 0}, set()),
+    "cgls": ("--field --iters --out --seed --tol --trace --weights",
+             {"--field", "--out"},
+             {"--iters": 50, "--tol": 1e-10, "--seed": 0}, set()),
+    "train": ("--batch-size --beta1 --beta2 --checkpoint-dir --chis "
+              "--config --d-steps-per-g-step --disc-channels --disc-layers "
+              "--disc-seed --epochs --eta --fields --gamma --gan "
+              "--gen-channels --gen-depth --gen-seed --infer-stride --log "
+              "--lr --mags --mask-losses --masks --norm --out-disc "
+              "--out-gen --patch-size --patches-per-epoch --rho --seed",
+              {"--chis", "--fields", "--out-gen"}, {},
+              {"--chis", "--fields", "--mags", "--masks"}),
+    "infer": ("--config --field --gen --infer-stride --magnitude --mask "
+              "--out --patch-size --seed",
+              {"--field", "--gen", "--out"}, {"--seed": 0}, set()),
+    "dip": ("--beta1 --beta2 --channels --config --depth --field --iters "
+            "--lam --lr --magnitude --mask --out --seed --trace",
+            {"--field", "--out"}, {}, set()),
+    "uqsm": ("--batch-size --beta1 --beta2 --checkpoint-dir --config "
+             "--epochs --fields --gen-channels --gen-depth --gen-seed "
+             "--lam --lr --mags --masks --out-gen --patch-size "
+             "--patches-per-epoch --seed --trace",
+             {"--fields", "--out-gen"}, {}, {"--fields", "--mags", "--masks"}),
+    "eval": ("--mask --out --recon --roi --roi-means --roi-mode --seed "
+             "--truth --window",
+             {"--recon", "--truth"},
+             {"--window": 7, "--roi-mode": "voxels", "--seed": 0}, set()),
+    "gradcheck": ("--cases --samples --seed", set(),
+                  {"--cases": 20, "--samples": 8, "--seed": 0}, set()),
+}
+
+
+class TestFlagSurface:
+    def test_options_required_and_defaults_pinned(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(FLAG_SURFACE)
+        for name, sp in sub.choices.items():
+            acts = [a for a in sp._actions
+                    if not isinstance(a, argparse._HelpAction)]
+            got = (" ".join(sorted(s for a in acts for s in a.option_strings)),
+                   {a.option_strings[0] for a in acts if a.required},
+                   {a.option_strings[0]: a.default for a in acts
+                    if a.default is not None},
+                   {a.option_strings[0] for a in acts if a.nargs is not None})
+            assert got == FLAG_SURFACE[name], name
 
 
 def readme_blocks():

@@ -2,13 +2,7 @@
 
 import pytest
 
-from qsmkit.config import (
-    last_value,
-    parse_config_items,
-    parse_config_text,
-    read_config,
-    read_config_items,
-)
+from qsmkit.config import parse_config_items, read_config_items
 from qsmkit.errors import InputError
 
 
@@ -45,31 +39,24 @@ class TestParseItems:
     def test_empty_text_gives_no_items(self):
         assert parse_config_items("", "t") == []
 
-
-class TestParseText:
-    def test_values_accumulate_per_key(self):
-        cfg = parse_config_text("a = 1\na = 2\nb = 3\n", "t")
-        assert cfg == {"a": ["1", "2"], "b": ["3"]}
-
-    def test_last_value_picks_final_assignment(self):
-        cfg = parse_config_text("a = 1\na = 2\n", "t")
-        assert last_value(cfg, "a") == "2"
-        assert last_value(cfg, "missing") is None
+    def test_repeated_key_kept_per_occurrence(self):
+        items = parse_config_items("a = 1\nb = 3\na = 2\n", "t")
+        assert items == [("a", "1"), ("b", "3"), ("a", "2")]
+        assert dict(items) == {"a": "2", "b": "3"}
 
 
 class TestReadFiles:
     def test_round_trip_through_file(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("a = 1\nb = 2 3\n")
-        assert read_config(p) == {"a": ["1"], "b": ["2 3"]}
         assert read_config_items(p) == [("a", "1"), ("b", "2 3")]
 
     def test_missing_file_is_input_error(self, tmp_path):
         with pytest.raises(InputError, match="cannot read config file"):
-            read_config(tmp_path / "absent.cfg")
+            read_config_items(tmp_path / "absent.cfg")
 
     def test_error_names_the_file(self, tmp_path):
         p = tmp_path / "bad.cfg"
-        p.write_text("broken line\n")
-        with pytest.raises(InputError, match="bad.cfg:1"):
-            read_config(p)
+        p.write_text("a = 1\nbroken line\n")
+        with pytest.raises(InputError, match="bad.cfg:2"):
+            read_config_items(p)

@@ -622,14 +622,19 @@ class TestUqsm:
                           lr=1e-4, seed=11)
         gen = build_generator(depth=2, base_channels=4, seed=3)
         log = tmp_path / "trace.csv"
+        initial = {n: t.data.copy() for n, t in gen.params.items()}
         with pytest.raises(NumericalError, match=(
                 r"^training halted at epoch 0, generator step 1: synthetic "
-                r"overflow; pre-step parameters saved to gen_last_good.dbc1$")):
+                r"overflow; parameters from before generator step 0 saved to "
+                r"gen_last_good.dbc1$")):
             train_uqsm(make_dataset(), gen, cfg, checkpoint_dir=tmp_path,
                        log_path=log)
+        # step 0 completed and updated gen; the saved copy predates it
         saved = load_checkpoint(tmp_path / "gen_last_good.dbc1")
-        for n, t in gen.params.items():
-            assert np.array_equal(saved.params[n].data, t.data)
+        for n in initial:
+            assert np.array_equal(saved.params[n].data, initial[n])
+        assert any(not np.array_equal(t.data, initial[n])
+                   for n, t in gen.params.items())
         assert not (tmp_path / "disc_last_good.dbc1").exists()
         assert len(log.read_text().splitlines()) == 2
 
@@ -661,3 +666,53 @@ class TestOneRunDriver:
                     and "NumericalError" in ast.unparse(node.type))
 
         assert self.owners(handler) == ["_run"]
+
+
+class TestOneWriterPerFormat:
+    """Each file format has one write site: every file write in the package
+    happens in the DBV1/DBC1 framed writer or the CSV writer, payloads are
+    decoded only in the framed reader, and rows are formatted only in
+    ``csv_text``."""
+
+    def owners(self, match):
+        found = []
+        for path in sorted(Path(tr.__file__).parent.glob("*.py")):
+            for fn in ast.parse(path.read_text()).body:
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and match(node):
+                        found.append(f"{path.stem}.{getattr(fn, 'name', '?')}")
+        return sorted(found)
+
+    @staticmethod
+    def callee(node) -> str:
+        return ast.unparse(node.func).rsplit(".", 1)[-1]
+
+    def test_file_writes_only_in_the_two_writers(self):
+        def raw_write(node):
+            if (self.callee(node) in ("write_bytes", "tofile")
+                    or ast.unparse(node.func).startswith("np.save")):
+                return True
+            modes = node.args[1:2] + [k.value for k in node.keywords
+                                      if k.arg == "mode"]
+            return self.callee(node) == "open" and any(
+                not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+                for m in modes)
+
+        def text_write(node):
+            return self.callee(node) == "write_text"
+
+        assert self.owners(raw_write) == ["volume.write_framed"]
+        assert self.owners(text_write) == ["training.write_csv"]
+
+    def test_payload_decoded_only_in_framed_reader(self):
+        def decode(node):
+            return self.callee(node) in ("frombuffer", "fromfile", "read_bytes")
+
+        assert self.owners(decode) == ["volume.read_framed",
+                                       "volume.read_framed"]
+
+    def test_csv_rows_formatted_only_in_csv_text(self):
+        def writer(node):
+            return ast.unparse(node.func) in ("csv.writer", "csv.DictWriter")
+
+        assert self.owners(writer) == ["training.csv_text"]
