@@ -203,9 +203,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     shape = a.data.shape
 
     def back(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, shape).copy(),)
 
     return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), back)
@@ -217,9 +215,7 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         [shape[ax] for ax in np.atleast_1d(axis)])
 
     def back(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, shape).astype(a.data.dtype),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg / count, shape).astype(a.data.dtype),)
 
     return _node(a.data.mean(axis=axis, keepdims=keepdims), (a,), back)
@@ -428,6 +424,8 @@ def check_gradients(f, tensors: list[Tensor], rng=None, samples: int | None = 16
     guards the all-zero-gradient corner. Step h defaults to 1e-2 for float32
     graphs and 1e-5 for float64. Returns the worst normalized error.
     """
+    if samples is not None and samples < 1:
+        raise InputError(f"samples must be >= 1, got {samples}")
     rng = rng or np.random.default_rng(0)
     single = any(t.data.dtype == np.float32 for t in tensors)
     step = h if h is not None else (1e-2 if single else 1e-5)

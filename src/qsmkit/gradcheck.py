@@ -58,38 +58,39 @@ def _even_spectrum(rng: np.random.Generator, dims) -> np.ndarray:
     return 0.5 * (s + k_mirror(s))
 
 
+# (sampler, low, high) of the second operand; the first is uniform in [-1, 1]
+_BINARY = {"add": (_u, -1.0, 1.0), "sub": (_u, -1.0, 1.0), "mul": (_u, -1.0, 1.0),
+           "div": (_signed, 0.7, 1.7)}
+# (sampler, low, high) of the operand, clear of each op's kink or pole
+_UNARY = {"neg": (_u, -1.0, 1.0), "absolute": (_signed, 0.2, 1.2), "sqrt": (_u, 0.5, 2.5),
+          "cos": (_u, -3.0, 3.0), "leaky_relu": (_signed, 0.2, 1.2)}
+# input, weight and output shapes, stride, pad
+_CONV = {
+    "conv3d": ((2, 4, 5, 4), (3, 2, 3, 3, 3), (3, 4, 5, 4), 1, 1),
+    # stride 2 with an axis whose windows do not tile exactly (remainder 1)
+    "conv3d_strided": ((2, 6, 5, 4), (2, 2, 3, 3, 3), (2, 2, 2, 1), 2, 0),
+    # the discriminator's k4 s2 p1 layer; the y axis leaves a remainder,
+    # so the scattered input gradient must be cropped correctly
+    "conv3d_padded_strided": ((2, 6, 5, 4), (2, 2, 4, 4, 4), (2, 3, 2, 2), 2, 1),
+}
+
+
 def build_case(op: str, rng: np.random.Generator,
                dtype) -> tuple[Callable[[], Tensor], list[Tensor]]:
     """Return (scalar objective, leaf tensors to check) for one random case."""
     shape = (2, 3, 4, 3)
     wgt = _u(rng, shape, -1.0, 1.0, dtype)
 
-    if op in ("add", "sub", "mul"):
+    if op in _BINARY:
+        sampler, lo, hi = _BINARY[op]
         a = Tensor(_u(rng, shape, -1.0, 1.0, dtype), requires_grad=True)
-        b = Tensor(_u(rng, shape, -1.0, 1.0, dtype), requires_grad=True)
-        fn = getattr(ad, op)
-        return lambda: _wsum(fn(a, b), wgt), [a, b]
+        b = Tensor(sampler(rng, shape, lo, hi, dtype), requires_grad=True)
+        return lambda: _wsum(getattr(ad, op)(a, b), wgt), [a, b]
 
-    if op == "div":
-        a = Tensor(_u(rng, shape, -1.0, 1.0, dtype), requires_grad=True)
-        b = Tensor(_signed(rng, shape, 0.7, 1.7, dtype), requires_grad=True)
-        return lambda: _wsum(ad.div(a, b), wgt), [a, b]
-
-    if op == "neg":
-        a = Tensor(_u(rng, shape, -1.0, 1.0, dtype), requires_grad=True)
-        return lambda: _wsum(ad.neg(a), wgt), [a]
-
-    if op == "absolute":
-        a = Tensor(_signed(rng, shape, 0.2, 1.2, dtype), requires_grad=True)
-        return lambda: _wsum(ad.absolute(a), wgt), [a]
-
-    if op == "sqrt":
-        a = Tensor(_u(rng, shape, 0.5, 2.5, dtype), requires_grad=True)
-        return lambda: _wsum(ad.sqrt(a), wgt), [a]
-
-    if op == "cos":
-        a = Tensor(_u(rng, shape, -3.0, 3.0, dtype), requires_grad=True)
-        return lambda: _wsum(ad.cos(a), wgt), [a]
+    if op in _UNARY:
+        sampler, lo, hi = _UNARY[op]
+        a = Tensor(sampler(rng, shape, lo, hi, dtype), requires_grad=True)
+        return lambda: _wsum(getattr(ad, op)(a), wgt), [a]
 
     if op == "tsum":
         a = Tensor(_u(rng, shape, -1.0, 1.0, dtype), requires_grad=True)
@@ -100,10 +101,6 @@ def build_case(op: str, rng: np.random.Generator,
         a = Tensor(_u(rng, shape, -1.0, 1.0, dtype), requires_grad=True)
         w2 = _u(rng, (shape[0], shape[1], 1, shape[3]), -1.0, 1.0, dtype)
         return lambda: _wsum(ad.tmean(a, axis=2, keepdims=True), w2), [a]
-
-    if op == "leaky_relu":
-        a = Tensor(_signed(rng, shape, 0.2, 1.2, dtype), requires_grad=True)
-        return lambda: _wsum(ad.leaky_relu(a, 0.2), wgt), [a]
 
     if op == "concat":
         spatial = shape[1:]
@@ -135,29 +132,13 @@ def build_case(op: str, rng: np.random.Generator,
         w2 = _u(rng, (2,) + dims, -1.0, 1.0, dtype)
         return lambda: _wsum(ad.spectral_filter(a, spec), w2), [a]
 
-    if op == "conv3d":
-        x = Tensor(_u(rng, (2, 4, 5, 4), -1.0, 1.0, dtype), requires_grad=True)
-        w = Tensor(_u(rng, (3, 2, 3, 3, 3), -0.5, 0.5, dtype), requires_grad=True)
-        b = Tensor(_u(rng, (3,), -0.5, 0.5, dtype), requires_grad=True)
-        wo = _u(rng, (3, 4, 5, 4), -1.0, 1.0, dtype)
-        return lambda: _wsum(ad.conv3d(x, w, b, stride=1, pad=1), wo), [x, w, b]
-
-    if op == "conv3d_strided":
-        # stride 2 with an axis whose windows do not tile exactly (remainder 1)
-        x = Tensor(_u(rng, (2, 6, 5, 4), -1.0, 1.0, dtype), requires_grad=True)
-        w = Tensor(_u(rng, (2, 2, 3, 3, 3), -0.5, 0.5, dtype), requires_grad=True)
-        b = Tensor(_u(rng, (2,), -0.5, 0.5, dtype), requires_grad=True)
-        wo = _u(rng, (2, 2, 2, 1), -1.0, 1.0, dtype)
-        return lambda: _wsum(ad.conv3d(x, w, b, stride=2, pad=0), wo), [x, w, b]
-
-    if op == "conv3d_padded_strided":
-        # the discriminator's k4 s2 p1 layer; the y axis leaves a remainder,
-        # so the scattered input gradient must be cropped correctly
-        x = Tensor(_u(rng, (2, 6, 5, 4), -1.0, 1.0, dtype), requires_grad=True)
-        w = Tensor(_u(rng, (2, 2, 4, 4, 4), -0.5, 0.5, dtype), requires_grad=True)
-        b = Tensor(_u(rng, (2,), -0.5, 0.5, dtype), requires_grad=True)
-        wo = _u(rng, (2, 3, 2, 2), -1.0, 1.0, dtype)
-        return lambda: _wsum(ad.conv3d(x, w, b, stride=2, pad=1), wo), [x, w, b]
+    if op in _CONV:
+        x_shape, w_shape, out_shape, stride, pad = _CONV[op]
+        x = Tensor(_u(rng, x_shape, -1.0, 1.0, dtype), requires_grad=True)
+        w = Tensor(_u(rng, w_shape, -0.5, 0.5, dtype), requires_grad=True)
+        b = Tensor(_u(rng, w_shape[:1], -0.5, 0.5, dtype), requires_grad=True)
+        wo = _u(rng, out_shape, -1.0, 1.0, dtype)
+        return lambda: _wsum(ad.conv3d(x, w, b, stride=stride, pad=pad), wo), [x, w, b]
 
     if op == "instance_norm":
         x = Tensor(_u(rng, (3, 4, 4, 4), -1.0, 1.0, dtype), requires_grad=True)
@@ -230,19 +211,12 @@ def _loss_case(op: str, rng: np.random.Generator,
     kernel = build_dipole(meta)
     dims = (1,) + meta.dims
 
-    if op == "cycle":
+    if op in ("cycle", "grad_diff"):
         chi = Tensor(_ramp(rng, meta.dims, 4.0, dtype), requires_grad=True)
         b = Tensor(_ramp(rng, meta.dims, -4.0, dtype), requires_grad=True)
         gen, gen_params = _affine_gen(rng, dtype, zero=True)
-        f = lambda: ls.cycle_loss([chi], [b], gen, kernel)
-        return f, [chi, b, *gen_params]
-
-    if op == "grad_diff":
-        chi = Tensor(_ramp(rng, meta.dims, 4.0, dtype), requires_grad=True)
-        b = Tensor(_ramp(rng, meta.dims, -4.0, dtype), requires_grad=True)
-        gen, gen_params = _affine_gen(rng, dtype, zero=True)
-        f = lambda: ls.grad_diff_loss([chi], [b], gen, kernel)
-        return f, [chi, b, *gen_params]
+        loss = ls.cycle_loss if op == "cycle" else ls.grad_diff_loss
+        return lambda: loss([chi], [b], gen, kernel), [chi, b, *gen_params]
 
     if op == "tv":
         chi = Tensor(_ramp(rng, meta.dims, 0.0, dtype), requires_grad=True)
@@ -287,6 +261,8 @@ def run_suite(dtype=np.float32, n_cases: int = 20, samples: int = 8,
 
     ``seed`` shifts every case's data and probe coordinates, giving an
     independent rerun of the whole suite."""
+    if n_cases < 1:
+        raise InputError(f"n_cases (cases per family) must be >= 1, got {n_cases}")
     results: dict[str, float] = {}
     for idx, op in enumerate(ops):
         worst = 0.0

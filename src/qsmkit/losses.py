@@ -99,29 +99,22 @@ def _apply_disc(disc, x: Tensor, mask: Tensor | None) -> Tensor:
     return forward_discriminator(disc, x, mask)
 
 
-def _m(mask_batch, i):
-    return None if mask_batch is None else mask_batch[i]
-
-
-def _check_masks(mask_batch, *batches) -> None:
+def _masks(mask_batch, *batches) -> list:
+    """One mask (None when ``mask_batch`` is None) per sample of the longest
+    batch, after checking that every batch matches the mask batch length."""
     if mask_batch is None:
-        return
+        return [None] * max(len(batch) for batch in batches)
     for batch in batches:
         if len(batch) != len(mask_batch):
             raise InputError(
                 f"mask batch length {len(mask_batch)} does not match "
                 f"patch batch length {len(batch)}")
+    return list(mask_batch)
 
 
 def _grad_terms(t: Tensor, norm: str, mask: Tensor | None) -> Tensor:
-    total = None
-    for axis in range(3):
-        d = ad.shift_diff(t, axis)
-        if mask is not None:
-            d = ad.mul(d, mask)
-        term = _norm_mean(d, norm)
-        total = term if total is None else ad.add(total, term)
-    return total
+    x, y, z = [_norm_mean(_masked(ad.shift_diff(t, axis), mask), norm) for axis in range(3)]
+    return ad.add(ad.add(x, y), z)
 
 
 def _masked(t: Tensor, mask: Tensor | None) -> Tensor:
@@ -129,50 +122,49 @@ def _masked(t: Tensor, mask: Tensor | None) -> Tensor:
 
 
 def _roundtrips(chi_batch, b_batch, gen, kernel, mag_batch):
-    """Shared activations: (chi, G(H chi)) pairs and (b, G(b), H G(b)) triples."""
+    """The (target, round trip) pairs of both cycles, (chi, G(H chi)) and
+    (b, H G(b)), plus the list of G(b)."""
     if mag_batch is not None and len(mag_batch) != len(b_batch):
         raise InputError("mag_batch length must match b_batch")
-    chi_side = []
+    chi_cycle = []
     for chi in chi_batch:
         _check_patch(chi, kernel, "chi patch")
         h_chi = ad.spectral_filter(chi, kernel.spectrum)
-        chi_side.append((chi, apply_generator(gen, h_chi, None)))
-    b_side = []
-    for i, b in enumerate(b_batch):
+        chi_cycle.append((chi, apply_generator(gen, h_chi, None)))
+    fakes, b_cycle = [], []
+    for b, mag in zip(b_batch, mag_batch or [None] * len(b_batch)):
         _check_patch(b, kernel, "field patch")
-        g_b = apply_generator(gen, b, None if mag_batch is None else mag_batch[i])
-        b_side.append((b, g_b, ad.spectral_filter(g_b, kernel.spectrum)))
-    return chi_side, b_side
+        fakes.append(apply_generator(gen, b, mag))
+        b_cycle.append((b, ad.spectral_filter(fakes[-1], kernel.spectrum)))
+    return (chi_cycle, b_cycle), fakes
 
 
-def _cycle_term(chi_side, b_side, norm: str, mask_batch) -> Tensor:
-    chi_terms = [_norm_mean(_masked(ad.sub(chi, g), _m(mask_batch, i)), norm)
-                 for i, (chi, g) in enumerate(chi_side)]
-    b_terms = [_norm_mean(_masked(ad.sub(b, hg), _m(mask_batch, i)), norm)
-               for i, (b, _, hg) in enumerate(b_side)]
-    return ad.add(_batch_mean(chi_terms), _batch_mean(b_terms))
+def _over_cycles(cycles, term, masks) -> Tensor:
+    """Sum over the two cycles of the batch mean of ``term(target - round
+    trip, mask)``."""
+    return ad.add(*[_batch_mean([term(ad.sub(t, rt), m) for (t, rt), m in zip(pairs, masks)])
+                    for pairs in cycles])
 
 
-def _grad_diff_term(chi_side, b_side, norm: str, mask_batch) -> Tensor:
-    chi_terms = [_grad_terms(ad.sub(chi, g), norm, _m(mask_batch, i))
-                 for i, (chi, g) in enumerate(chi_side)]
-    b_terms = [_grad_terms(ad.sub(b, hg), norm, _m(mask_batch, i))
-               for i, (b, _, hg) in enumerate(b_side)]
-    return ad.add(_batch_mean(chi_terms), _batch_mean(b_terms))
+def _cycle_term(cycles, norm: str, masks) -> Tensor:
+    return _over_cycles(cycles, lambda r, m: _norm_mean(_masked(r, m), norm), masks)
 
 
-def _tv_term(out_batch: list[Tensor], norm: str, mask_batch) -> Tensor:
-    return _batch_mean([_grad_terms(t, norm, _m(mask_batch, i))
-                        for i, t in enumerate(out_batch)])
+def _grad_diff_term(cycles, norm: str, masks) -> Tensor:
+    return _over_cycles(cycles, lambda r, m: _grad_terms(r, norm, m), masks)
+
+
+def _tv_term(out_batch: list[Tensor], norm: str, masks) -> Tensor:
+    return _batch_mean([_grad_terms(t, norm, m) for t, m in zip(out_batch, masks)])
 
 
 def cycle_loss(chi_batch: list[Tensor], b_batch: list[Tensor], gen,
                kernel: DipoleKernel, mag_batch: list[Tensor] | None = None,
                norm: str = "l1", mask_batch: list[Tensor] | None = None) -> Tensor:
     """chi -> H chi -> G round trip plus b -> G(b) -> H round trip."""
-    _check_masks(mask_batch, chi_batch, b_batch)
-    chi_side, b_side = _roundtrips(chi_batch, b_batch, gen, kernel, mag_batch)
-    return _cycle_term(chi_side, b_side, norm, mask_batch)
+    masks = _masks(mask_batch, chi_batch, b_batch)
+    cycles, _ = _roundtrips(chi_batch, b_batch, gen, kernel, mag_batch)
+    return _cycle_term(cycles, norm, masks)
 
 
 def lsgan_losses(disc: Discriminator, real_batch: list[Tensor],
@@ -185,13 +177,10 @@ def lsgan_losses(disc: Discriminator, real_batch: list[Tensor],
     discriminator inputs, fulfilling the mask-before-discriminator contract.
     ``disc`` may be a Discriminator or a callable Tensor -> Tensor.
     """
-    _check_masks(mask_batch, real_batch, fake_batch)
-    d_real = [_apply_disc(disc, r, _m(mask_batch, i))
-              for i, r in enumerate(real_batch)]
-    d_fake_detached = [_apply_disc(disc, f.detach(), _m(mask_batch, i))
-                       for i, f in enumerate(fake_batch)]
-    d_fake = [_apply_disc(disc, f, _m(mask_batch, i))
-              for i, f in enumerate(fake_batch)]
+    masks = _masks(mask_batch, real_batch, fake_batch)
+    d_real = [_apply_disc(disc, r, m) for r, m in zip(real_batch, masks)]
+    d_fake_detached = [_apply_disc(disc, f.detach(), m) for f, m in zip(fake_batch, masks)]
+    d_fake = [_apply_disc(disc, f, m) for f, m in zip(fake_batch, masks)]
     gan_d = ad.add(
         _batch_mean([ad.tmean(ad.mul(d - 1.0, d - 1.0)) for d in d_real]),
         _batch_mean([ad.tmean(ad.mul(d, d)) for d in d_fake_detached])) * 0.5
@@ -204,16 +193,15 @@ def grad_diff_loss(chi_batch: list[Tensor], b_batch: list[Tensor], gen,
                    norm: str = "l1",
                    mask_batch: list[Tensor] | None = None) -> Tensor:
     """Finite-difference mismatch of both cycle branches, to keep edges."""
-    _check_masks(mask_batch, chi_batch, b_batch)
-    chi_side, b_side = _roundtrips(chi_batch, b_batch, gen, kernel, mag_batch)
-    return _grad_diff_term(chi_side, b_side, norm, mask_batch)
+    masks = _masks(mask_batch, chi_batch, b_batch)
+    cycles, _ = _roundtrips(chi_batch, b_batch, gen, kernel, mag_batch)
+    return _grad_diff_term(cycles, norm, masks)
 
 
 def tv_loss(out_batch: list[Tensor], norm: str = "l1",
             mask_batch: list[Tensor] | None = None) -> Tensor:
     """Anisotropic total variation of generator outputs, per-voxel mean."""
-    _check_masks(mask_batch, out_batch)
-    return _tv_term(out_batch, norm, mask_batch)
+    return _tv_term(out_batch, norm, _masks(mask_batch, out_batch))
 
 
 def total_generator_loss(chi_batch: list[Tensor], b_batch: list[Tensor], gen,
@@ -230,13 +218,12 @@ def total_generator_loss(chi_batch: list[Tensor], b_batch: list[Tensor], gen,
     the discriminator objective. Masks always gate the discriminator input;
     they enter the cycle/grad/tv terms only when ``mask_losses`` is set.
     """
-    _check_masks(mask_batch, chi_batch, b_batch)
-    loss_masks = mask_batch if mask_losses else None
-    chi_side, b_side = _roundtrips(chi_batch, b_batch, gen, kernel, mag_batch)
+    masks = _masks(mask_batch, chi_batch, b_batch)
+    loss_masks = masks if mask_losses else [None] * len(masks)
+    cycles, fakes = _roundtrips(chi_batch, b_batch, gen, kernel, mag_batch)
 
-    cycle = _cycle_term(chi_side, b_side, norm, loss_masks)
-    grad = _grad_diff_term(chi_side, b_side, norm, loss_masks)
-    fakes = [g_b for (_, g_b, _) in b_side]
+    cycle = _cycle_term(cycles, norm, loss_masks)
+    grad = _grad_diff_term(cycles, norm, loss_masks)
     tv = _tv_term(fakes, norm, loss_masks)
     gan_d, gan_g = lsgan_losses(disc, chi_batch, fakes, mask_batch)
 

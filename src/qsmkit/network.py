@@ -3,7 +3,9 @@
 The generator is a 3D U-Net over two input channels (local field phase and
 magnitude) producing one susceptibility channel; the discriminator is a 3D
 patchGAN emitting a patch map of realness scores. Both are parameter
-dictionaries of Tensors driven by the ops in autodiff.
+dictionaries of Tensors driven by the ops in autodiff. Each architecture's
+ordered (name, shape) layout is written once: building initializes from it
+and loading a checkpoint checks the file against it.
 """
 
 from __future__ import annotations
@@ -33,25 +35,6 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.
     return x * std
 
 
-class _ParamBuilder:
-    def __init__(self, rng: np.random.Generator, dtype):
-        self.rng = rng
-        self.dtype = dtype
-        self.params: dict[str, Tensor] = {}
-
-    def conv(self, name: str, c_in: int, c_out: int, k: int) -> None:
-        w = _trunc_normal(self.rng, (c_out, c_in, k, k, k))
-        self.params[f"{name}.w"] = Tensor(w.astype(self.dtype), requires_grad=True)
-        self.params[f"{name}.b"] = Tensor(np.zeros(c_out, dtype=self.dtype),
-                                          requires_grad=True)
-
-    def norm(self, name: str, c: int) -> None:
-        self.params[f"{name}.gamma"] = Tensor(np.ones((c, 1, 1, 1), dtype=self.dtype),
-                                              requires_grad=True)
-        self.params[f"{name}.beta"] = Tensor(np.zeros((c, 1, 1, 1), dtype=self.dtype),
-                                             requires_grad=True)
-
-
 @dataclass
 class Generator:
     depth: int
@@ -79,51 +62,83 @@ class Discriminator:
         return {"n_layers": self.n_layers, "base_channels": self.base_channels,
                 "in_channels": self.in_channels}
 
+    def require_patch(self, p: int) -> None:
+        """Reject a patch side that the k4 s2 p1 stack shrinks below the
+        2-wide map the 4-wide head needs."""
+        n = p
+        for _ in range(self.n_layers):
+            n = (n - 2) // 2 + 1
+        if n < 2:
+            raise InputError(
+                f"patch_size {p} leaves a {n}-wide map after {self.n_layers} "
+                f"strided layers; the 4-wide head needs at least 2")
+
+
+def _conv_layout(name: str, c_in: int, c_out: int, k: int,
+                 norm: bool = True) -> list[tuple[str, tuple]]:
+    out = [(f"{name}.w", (c_out, c_in, k, k, k)), (f"{name}.b", (c_out,))]
+    if norm:
+        out += [(f"{name}.gamma", (c_out, 1, 1, 1)), (f"{name}.beta", (c_out, 1, 1, 1))]
+    return out
+
+
+def _generator_layout(depth: int, base_channels: int,
+                     in_channels: int) -> list[tuple[str, tuple]]:
+    """Ordered (name, shape) list of the U-Net's parameters: two 3x3x3
+    conv+IN+lrelu per level, stride-2 conv down, nearest-neighbour up with
+    skip concatenation, 1x1x1 linear head."""
+    if depth < 1 or base_channels < 1 or in_channels < 1:
+        raise InputError("depth, base_channels, in_channels must be >= 1")
+    ch = [base_channels * 2 ** l for l in range(depth)]
+    out = []
+    for l in range(depth):
+        if l > 0:
+            out += _conv_layout(f"down{l}", ch[l - 1], ch[l], 3)
+        out += _conv_layout(f"enc{l}.c1", in_channels if l == 0 else ch[l], ch[l], 3)
+        out += _conv_layout(f"enc{l}.c2", ch[l], ch[l], 3)
+    for l in range(depth - 2, -1, -1):
+        out += _conv_layout(f"dec{l}.c1", ch[l + 1] + ch[l], ch[l], 3)
+        out += _conv_layout(f"dec{l}.c2", ch[l], ch[l], 3)
+    return out + _conv_layout("out", ch[0], 1, 1, norm=False)
+
+
+def _discriminator_layout(n_layers: int, base_channels: int,
+                         in_channels: int) -> list[tuple[str, tuple]]:
+    """Ordered (name, shape) list of the patchGAN's parameters: stride-2
+    4x4x4 conv+IN+lrelu stack, then a linear 4x4x4 head."""
+    if n_layers < 1 or base_channels < 1 or in_channels < 1:
+        raise InputError("n_layers, base_channels, in_channels must be >= 1")
+    ch = [in_channels] + [base_channels * 2 ** l for l in range(n_layers)]
+    out = []
+    for l in range(n_layers):
+        out += _conv_layout(f"layer{l}", ch[l], ch[l + 1], 4)
+    return out + _conv_layout("out", ch[-1], 1, 4, norm=False)
+
+
+def _init_params(layout, seed: int, dtype) -> dict[str, Tensor]:
+    """Truncated normal for ``.w`` (drawn in layout order), ones for
+    ``.gamma``, zeros for ``.b`` and ``.beta``."""
+    rng = np.random.default_rng(seed)
+    params = {}
+    for name, shape in layout:
+        role = name.rsplit(".", 1)[1]
+        data = (_trunc_normal(rng, shape) if role == "w"
+                else np.ones(shape) if role == "gamma" else np.zeros(shape))
+        params[name] = Tensor(data.astype(dtype), requires_grad=True)
+    return params
+
 
 def build_generator(depth: int = 3, base_channels: int = 16, in_channels: int = 2,
                     seed: int = 0, dtype=np.float32) -> Generator:
-    """U-Net: two 3x3x3 conv+IN+lrelu per level, stride-2 conv down,
-    nearest-neighbour up with skip concatenation, 1x1x1 linear head."""
-    if depth < 1 or base_channels < 1 or in_channels < 1:
-        raise InputError("depth, base_channels, in_channels must be >= 1")
-    rng = np.random.default_rng(seed)
-    pb = _ParamBuilder(rng, dtype)
-    ch = [base_channels * 2 ** l for l in range(depth)]
-    for l in range(depth):
-        if l > 0:
-            pb.conv(f"down{l}", ch[l - 1], ch[l], 3)
-            pb.norm(f"down{l}", ch[l])
-        c_in = in_channels if l == 0 else ch[l]
-        pb.conv(f"enc{l}.c1", c_in, ch[l], 3)
-        pb.norm(f"enc{l}.c1", ch[l])
-        pb.conv(f"enc{l}.c2", ch[l], ch[l], 3)
-        pb.norm(f"enc{l}.c2", ch[l])
-    for l in range(depth - 2, -1, -1):
-        pb.conv(f"dec{l}.c1", ch[l + 1] + ch[l], ch[l], 3)
-        pb.norm(f"dec{l}.c1", ch[l])
-        pb.conv(f"dec{l}.c2", ch[l], ch[l], 3)
-        pb.norm(f"dec{l}.c2", ch[l])
-    pb.conv("out", ch[0], 1, 1)
-    return Generator(depth, base_channels, in_channels, pb.params)
+    return Generator(depth, base_channels, in_channels, _init_params(
+        _generator_layout(depth, base_channels, in_channels), seed, dtype))
 
 
 def build_discriminator(n_layers: int = 3, base_channels: int = 16,
                         in_channels: int = 1, seed: int = 0,
                         dtype=np.float32) -> Discriminator:
-    """PatchGAN: stride-2 4x4x4 conv+IN+lrelu stack, then a linear 4x4x4 head
-    producing a 1-channel patch map."""
-    if n_layers < 1 or base_channels < 1 or in_channels < 1:
-        raise InputError("n_layers, base_channels, in_channels must be >= 1")
-    rng = np.random.default_rng(seed)
-    pb = _ParamBuilder(rng, dtype)
-    c_prev = in_channels
-    for l in range(n_layers):
-        c = base_channels * 2 ** l
-        pb.conv(f"layer{l}", c_prev, c, 4)
-        pb.norm(f"layer{l}", c)
-        c_prev = c
-    pb.conv("out", c_prev, 1, 4)
-    return Discriminator(n_layers, base_channels, in_channels, pb.params)
+    return Discriminator(n_layers, base_channels, in_channels, _init_params(
+        _discriminator_layout(n_layers, base_channels, in_channels), seed, dtype))
 
 
 def _conv_in_lrelu(p: dict[str, Tensor], name: str, x: Tensor,
@@ -210,20 +225,19 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     return state
 
 
-def _model_kind(model) -> str:
-    if isinstance(model, Generator):
-        return "generator"
-    if isinstance(model, Discriminator):
-        return "discriminator"
-    raise InputError(f"cannot checkpoint object of type {type(model).__name__}")
+_KINDS = {"generator": (Generator, _generator_layout),
+          "discriminator": (Discriminator, _discriminator_layout)}
 
 
 def save_checkpoint(model: Generator | Discriminator, path: str | Path) -> None:
     """DBC1: one-line JSON header (kind, config, named shapes), newline, then
     the parameter blobs as little-endian float32 in header order."""
+    kind = next((k for k, (cls, _) in _KINDS.items() if isinstance(model, cls)), None)
+    if kind is None:
+        raise InputError(f"cannot checkpoint object of type {type(model).__name__}")
     write_framed(path, {
         "magic": DBC1_MAGIC,
-        "kind": _model_kind(model),
+        "kind": kind,
         "config": model.config(),
         "params": [{"name": n, "shape": list(t.data.shape)}
                    for n, t in model.params.items()],
@@ -231,30 +245,33 @@ def save_checkpoint(model: Generator | Discriminator, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Generator | Discriminator:
+    """Read a DBC1 file whose (name, shape) list equals its kind's layout for
+    the stored config; no initializer runs."""
     def parse(header: dict) -> tuple:
         kind = header["kind"]
         try:
-            if kind == "generator":
-                model = build_generator(**header["config"])
-            elif kind == "discriminator":
-                model = build_discriminator(**header["config"])
-            else:
+            if kind not in _KINDS:
                 raise MalformedHeaderError(f"{path}: unknown kind {kind!r}")
+            cls, layout_of = _KINDS[kind]
+            config = header["config"]
+            layout = layout_of(**config)
             entries = [(e["name"], tuple(e["shape"])) for e in header["params"]]
         except (TypeError, KeyError) as exc:
             raise MalformedHeaderError(f"{path}: bad config or params: {exc}") from exc
-        if [n for n, _ in entries] != list(model.params.keys()):
+        if [n for n, _ in entries] != [n for n, _ in layout]:
             raise MalformedHeaderError(f"{path}: parameter names do not match {kind} config")
-        for name, shape in entries:
-            if model.params[name].data.shape != shape:
+        for (name, shape), (_, want) in zip(entries, layout):
+            if shape != want:
                 raise MalformedHeaderError(
                     f"{path}: shape {shape} for {name} does not match architecture")
-        return model, sum(int(np.prod(s)) for _, s in entries)
+        return (cls, config, layout), sum(int(np.prod(s)) for _, s in layout)
 
-    model, flat = read_framed(path, DBC1_MAGIC, ("kind", "config", "params"), parse)
-    offset = 0
-    for name, t in model.params.items():
-        block = flat[offset:offset + t.data.size].reshape(t.data.shape)
-        model.params[name] = Tensor(block.astype(np.float32), requires_grad=True)
-        offset += t.data.size
-    return model
+    (cls, config, layout), flat = read_framed(
+        path, DBC1_MAGIC, ("kind", "config", "params"), parse)
+    params, offset = {}, 0
+    for name, shape in layout:
+        size = int(np.prod(shape))
+        params[name] = Tensor(flat[offset:offset + size].reshape(shape).astype(np.float32),
+                              requires_grad=True)
+        offset += size
+    return cls(**config, params=params)

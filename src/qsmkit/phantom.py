@@ -7,7 +7,7 @@ overwrite earlier ones where they overlap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,15 +104,9 @@ def shape_coverage(spec: PhantomSpec) -> Mask:
     """Indicator of voxels touched by any shape, for mask construction."""
     cx, cy, cz = _centers(spec.meta)
     out = np.zeros(spec.meta.dims, dtype=np.float64)
-    probe = np.zeros_like(out)
     for shape in spec.shapes:
         _check_inside(spec.meta, shape)
-        probe.fill(0.0)
-        _paint(Sphere(shape.center_mm, shape.radius_mm, 1.0)
-               if isinstance(shape, Sphere)
-               else Box(shape.corner_mm, shape.extent_mm, 1.0),
-               cx, cy, cz, probe)
-        out = np.maximum(out, probe)
+        _paint(replace(shape, chi=1.0), cx, cy, cz, out)
     if not np.any(out):
         raise InputError("spec has no shapes covering any voxel")
     return Mask(spec.meta, out)

@@ -229,26 +229,17 @@ def _to_tensor(arr: np.ndarray) -> Tensor:
     return Tensor(arr[None].astype(np.float32))
 
 
-def _draw_batch(ds, cfg, rng, b0_dir):
+def _draw_batch(ds, cfg, rng, b0_dir) -> list[list[np.ndarray]]:
+    """Sample cfg.batch_size patch groups and augment each: one
+    [phase, magnitude, chi, mask] list of arrays per sample."""
     field_p, chi_p, mask_p = sample_patches(ds, cfg, rng, cfg.batch_size)
-    chi_b, b_b, mag_b, mask_b = [], [], [], []
-    for (phase, mag), chi, mask in zip(field_p, chi_p, mask_p):
-        phase, mag, chi, mask = augment([phase, mag, chi, mask], rng, b0_dir)
-        b_b.append(_to_tensor(phase))
-        mag_b.append(_to_tensor(mag))
-        chi_b.append(_to_tensor(chi))
-        mask_b.append(_to_tensor(mask))
-    return chi_b, b_b, mag_b, mask_b
+    return [augment([phase, mag, chi, mask], rng, b0_dir)
+            for (phase, mag), chi, mask in zip(field_p, chi_p, mask_p)]
 
 
-def _disc_patch_check(disc: Discriminator, p: int) -> None:
-    n = p
-    for _ in range(disc.n_layers):
-        n = (n - 2) // 2 + 1
-    if n < 2:
-        raise InputError(
-            f"patch_size {p} leaves a {n}-wide map after {disc.n_layers} "
-            f"strided layers; the 4-wide head needs at least 2")
+def _tensor_batch(groups) -> list[list[Tensor]]:
+    """The phase, magnitude, chi and mask tensor lists of a drawn batch."""
+    return [[_to_tensor(a) for a in column] for column in zip(*groups)]
 
 
 def _require_divisible(gen: Generator, what: str, sizes) -> None:
@@ -377,7 +368,7 @@ def train_cycleqsm(ds: UnpairedDataset, gen: Generator, disc: Discriminator,
     anywhere halts with NumericalError and keeps the last good parameters.
     """
     _require_divisible(gen, "patch_size", cfg.patch_size)
-    _disc_patch_check(disc, cfg.patch_size)
+    disc.require_patch(cfg.patch_size)
     rng = np.random.default_rng(cfg.seed)
     meta = ds.patch_meta(cfg.patch_size)
     kernel = build_dipole(meta)
@@ -386,7 +377,7 @@ def train_cycleqsm(ds: UnpairedDataset, gen: Generator, disc: Discriminator,
     opt = (cfg.lr, cfg.beta1, cfg.beta2)
 
     def step() -> LossReport:
-        chi_b, b_b, mag_b, mask_b = _draw_batch(ds, cfg, rng, meta.b0_dir)
+        b_b, mag_b, chi_b, mask_b = _tensor_batch(_draw_batch(ds, cfg, rng, meta.b0_dir))
         report, total_g, gan_d = total_generator_loss(
             chi_b, b_b, gen, disc, kernel, weights=cfg.weights,
             mag_batch=mag_b, mask_batch=mask_b, norm=cfg.norm,
@@ -394,7 +385,7 @@ def train_cycleqsm(ds: UnpairedDataset, gen: Generator, disc: Discriminator,
         _update(total_g, gen, g_state, *opt, all_params)
         _update(gan_d, disc, d_state, *opt, all_params)
         for _ in range(cfg.d_steps_per_g_step - 1):
-            chi_b, b_b, mag_b, mask_b = _draw_batch(ds, cfg, rng, meta.b0_dir)
+            b_b, mag_b, chi_b, mask_b = _tensor_batch(_draw_batch(ds, cfg, rng, meta.b0_dir))
             fakes = [apply_generator(gen, b, m).detach()
                      for b, m in zip(b_b, mag_b)]
             extra_d, _ = lsgan_losses(disc, chi_b, fakes, mask_b)
@@ -518,13 +509,10 @@ def train_uqsm(ds: UnpairedDataset, gen: Generator, cfg: TrainConfig,
     params = list(gen.params.values())
 
     def step() -> float:
-        field_p, _, mask_p = sample_patches(ds, cfg, rng, cfg.batch_size)
-        terms = []
-        for (phase, mag), mask in zip(field_p, mask_p):
-            phase, mag, mask = augment([phase, mag, mask], rng, meta.b0_dir)
-            chi = forward_generator(gen, _to_tensor(phase), _to_tensor(mag))
-            terms.append(dip_loss(chi, phase, mag * mask, kernel, lam=lam))
-        total = _batch_mean(terms)
+        total = _batch_mean([
+            dip_loss(forward_generator(gen, _to_tensor(phase), _to_tensor(mag)), phase,
+                     mag * mask, kernel, lam=lam)
+            for phase, mag, _, mask in _draw_batch(ds, cfg, rng, meta.b0_dir)])
         _update(total, gen, state, cfg.lr, cfg.beta1, cfg.beta2, params)
         return total.item()
 

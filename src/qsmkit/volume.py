@@ -43,12 +43,14 @@ class VolumeMeta:
 
     def __post_init__(self) -> None:
         try:
-            dims = tuple(int(d) for d in self.dims)
+            raw = tuple(self.dims)
+            dims = tuple(int(d) for d in raw)
             voxel = tuple(float(s) for s in self.voxel_size)
             b0 = np.asarray(self.b0_dir, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad volume geometry: {exc}") from exc
-        if len(dims) != 3 or any(d < 1 for d in dims):
+        if (len(dims) != 3 or any(d < 1 for d in dims)
+                or any(isinstance(r, (bool, np.bool_)) or r != d for r, d in zip(raw, dims))):
             raise InputError(f"dims must be three positive integers, got {self.dims}")
         if len(voxel) != 3 or any(not (np.isfinite(s) and s > 0) for s in voxel):
             raise InputError(f"voxel_size must be three positive reals, got {self.voxel_size}")

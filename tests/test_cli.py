@@ -472,6 +472,14 @@ class TestGradcheckCommand:
         assert "all gradient checks passed" in out
         assert "float32 worst:" in out and "float64 worst:" in out
 
+    @pytest.mark.parametrize("argv", [["--cases", "0"], ["--cases", "-3"],
+                                      ["--cases", "1", "--samples", "0"]])
+    def test_audit_that_checks_nothing_fails(self, argv, capsys):
+        assert cli.main(["gradcheck", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert "all gradient checks passed" not in out
+        assert "must be >= 1" in err
+
 
 # per subcommand: every option string (help aside), the required options,
 # every non-None argparse default, and the options taking a list; values

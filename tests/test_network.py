@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qsmkit import autodiff as ad
+from qsmkit import network
 from qsmkit.autodiff import Tensor, backward, check_gradients
 from qsmkit.errors import (
     InputError,
@@ -17,6 +18,7 @@ from qsmkit.network import (
     AdamState,
     Discriminator,
     Generator,
+    _trunc_normal,
     adam_step,
     build_discriminator,
     build_generator,
@@ -25,6 +27,71 @@ from qsmkit.network import (
     load_checkpoint,
     save_checkpoint,
 )
+
+
+class _ParamBuilder:
+    """Reference for the layout-driven builders: parameters are drawn and
+    named while the architecture is walked."""
+
+    def __init__(self, rng: np.random.Generator, dtype):
+        self.rng = rng
+        self.dtype = dtype
+        self.params: dict[str, Tensor] = {}
+
+    def conv(self, name: str, c_in: int, c_out: int, k: int) -> None:
+        w = _trunc_normal(self.rng, (c_out, c_in, k, k, k))
+        self.params[f"{name}.w"] = Tensor(w.astype(self.dtype), requires_grad=True)
+        self.params[f"{name}.b"] = Tensor(np.zeros(c_out, dtype=self.dtype),
+                                          requires_grad=True)
+
+    def norm(self, name: str, c: int) -> None:
+        self.params[f"{name}.gamma"] = Tensor(np.ones((c, 1, 1, 1), dtype=self.dtype),
+                                              requires_grad=True)
+        self.params[f"{name}.beta"] = Tensor(np.zeros((c, 1, 1, 1), dtype=self.dtype),
+                                             requires_grad=True)
+
+
+def oracle_generator(depth, base_channels, in_channels, seed, dtype):
+    rng = np.random.default_rng(seed)
+    pb = _ParamBuilder(rng, dtype)
+    ch = [base_channels * 2 ** l for l in range(depth)]
+    for l in range(depth):
+        if l > 0:
+            pb.conv(f"down{l}", ch[l - 1], ch[l], 3)
+            pb.norm(f"down{l}", ch[l])
+        c_in = in_channels if l == 0 else ch[l]
+        pb.conv(f"enc{l}.c1", c_in, ch[l], 3)
+        pb.norm(f"enc{l}.c1", ch[l])
+        pb.conv(f"enc{l}.c2", ch[l], ch[l], 3)
+        pb.norm(f"enc{l}.c2", ch[l])
+    for l in range(depth - 2, -1, -1):
+        pb.conv(f"dec{l}.c1", ch[l + 1] + ch[l], ch[l], 3)
+        pb.norm(f"dec{l}.c1", ch[l])
+        pb.conv(f"dec{l}.c2", ch[l], ch[l], 3)
+        pb.norm(f"dec{l}.c2", ch[l])
+    pb.conv("out", ch[0], 1, 1)
+    return pb.params
+
+
+def oracle_discriminator(n_layers, base_channels, in_channels, seed, dtype):
+    rng = np.random.default_rng(seed)
+    pb = _ParamBuilder(rng, dtype)
+    c_prev = in_channels
+    for l in range(n_layers):
+        c = base_channels * 2 ** l
+        pb.conv(f"layer{l}", c_prev, c, 4)
+        pb.norm(f"layer{l}", c)
+        c_prev = c
+    pb.conv("out", c_prev, 1, 4)
+    return pb.params
+
+
+def assert_same_params(got: dict, want: dict):
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].data.dtype == want[name].data.dtype, name
+        assert got[name].requires_grad, name
+        np.testing.assert_array_equal(got[name].data, want[name].data, err_msg=name)
 
 
 def tiny_generator(seed=0):
@@ -75,6 +142,31 @@ class TestGeneratorBuild:
     def test_bad_config(self):
         with pytest.raises(InputError):
             build_generator(depth=0)
+
+
+class TestBuilderOracle:
+    """The layout-driven builders give the names, order, shapes, dtypes and
+    values of the architecture-walking builders they replaced."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("channels,in_channels", [(1, 1), (3, 2), (4, 2), (16, 3)])
+    def test_generator(self, depth, channels, in_channels, dtype):
+        seed = 10 * depth + channels
+        got = build_generator(depth=depth, base_channels=channels,
+                              in_channels=in_channels, seed=seed, dtype=dtype)
+        assert_same_params(got.params,
+                           oracle_generator(depth, channels, in_channels, seed, dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("channels,in_channels", [(1, 1), (3, 2), (4, 1), (16, 1)])
+    def test_discriminator(self, n_layers, channels, in_channels, dtype):
+        seed = 10 * n_layers + channels
+        got = build_discriminator(n_layers=n_layers, base_channels=channels,
+                                  in_channels=in_channels, seed=seed, dtype=dtype)
+        assert_same_params(got.params, oracle_discriminator(
+            n_layers, channels, in_channels, seed, dtype))
 
 
 class TestGeneratorForward:
@@ -315,6 +407,33 @@ class TestCheckpoints:
         header["params"][0]["name"] = "enc9.c9.w"
         path.write_bytes(json.dumps(header).encode() + raw[nl:])
         with pytest.raises(MalformedHeaderError):
+            load_checkpoint(path)
+
+    def test_load_draws_nothing(self, tmp_path, monkeypatch):
+        g = build_generator(depth=3, base_channels=4, seed=2)
+        d = build_discriminator(n_layers=2, base_channels=4, seed=3)
+        save_checkpoint(g, tmp_path / "g.dbc1")
+        save_checkpoint(d, tmp_path / "d.dbc1")
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("load_checkpoint ran the initializer")
+
+        monkeypatch.setattr(network, "_trunc_normal", no_init)
+        for model, name in ((g, "g.dbc1"), (d, "d.dbc1")):
+            loaded = load_checkpoint(tmp_path / name)
+            assert type(loaded) is type(model) and loaded.config() == model.config()
+            assert_same_params(loaded.params, model.params)
+
+    def test_shape_mismatch(self, tmp_path):
+        g = tiny_generator()
+        path = tmp_path / "g.dbc1"
+        save_checkpoint(g, path)
+        raw = path.read_bytes()
+        nl = raw.index(b"\n")
+        header = json.loads(raw[:nl])
+        header["params"][1]["shape"] = [2, 2]
+        path.write_bytes(json.dumps(header).encode() + raw[nl:])
+        with pytest.raises(MalformedHeaderError, match="does not match architecture"):
             load_checkpoint(path)
 
     def test_unknown_object_rejected(self, tmp_path):

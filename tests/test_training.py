@@ -716,3 +716,18 @@ class TestOneWriterPerFormat:
             return ast.unparse(node.func) in ("csv.writer", "csv.DictWriter")
 
         assert self.owners(writer) == ["training.csv_text"]
+
+
+class TestOneDrawPath:
+    """Patches are drawn and augmented in one place: ``sample_patches`` and
+    ``augment`` are called only inside ``_draw_batch``."""
+
+    def test_sample_and_augment_only_in_draw_batch(self):
+        found = []
+        for path in sorted(Path(tr.__file__).parent.glob("*.py")):
+            for fn in ast.parse(path.read_text()).body:
+                for node in ast.walk(fn):
+                    if (isinstance(node, ast.Call) and ast.unparse(node.func).rsplit(".", 1)[-1]
+                            in ("sample_patches", "augment")):
+                        found.append(f"{path.stem}.{getattr(fn, 'name', '?')}")
+        assert sorted(found) == ["training._draw_batch", "training._draw_batch"]

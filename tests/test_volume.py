@@ -48,6 +48,16 @@ class TestMeta:
         with pytest.raises(InputError):
             VolumeMeta(**kw)
 
+    @pytest.mark.parametrize("dims", [(4.7, 4, 4), (4, 4, True), (4, np.True_, 4),
+                                      (4, "4", 4), (4, 4, float("inf"))])
+    def test_rejects_non_integral_dims(self, dims):
+        with pytest.raises(InputError):
+            VolumeMeta(dims, (1.0, 1.0, 1.0))
+
+    def test_integral_dims_of_any_numeric_type(self):
+        m = VolumeMeta((4.0, np.int64(5), np.float32(6)), (1.0, 1.0, 1.0))
+        assert m.dims == (4, 5, 6) and all(type(d) is int for d in m.dims)
+
     def test_hashable(self):
         a = VolumeMeta((4, 4, 4), (1, 1, 1))
         b = VolumeMeta((4, 4, 4), (1, 1, 1))
@@ -178,6 +188,14 @@ class TestDBV1:
         else:
             p.write_bytes(b'{"magic": "DBV1"')
         with pytest.raises(MalformedHeaderError):
+            read_volume(p)
+
+    def test_non_integral_dims_rejected(self, tmp_path):
+        # 4.7 * 4 * 4 would truncate to a 4^3 grid that the payload fills exactly
+        p = tmp_path / "bad.dbv"
+        p.write_bytes(b'{"magic": "DBV1", "dims": [4.7, 4, 4], "voxel_size_mm": [1,1,1], '
+                      b'"b0_dir": [0,0,1], "dtype": "f32"}\n' + b"\x00" * 4 * 64)
+        with pytest.raises(MalformedHeaderError, match="dims"):
             read_volume(p)
 
     @pytest.mark.parametrize("delta", [-4, 4])
