@@ -290,9 +290,12 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor | None = None,
 
     ``x`` is (C_in, X, Y, Z), ``w`` is (C_out, C_in, kx, ky, kz), ``b`` is
     (C_out,). Output spatial size per axis is floor((n + 2 pad - k)/stride)+1.
-    Forward is one matrix product of the flattened kernel with the patch
-    matrix (im2col); so are both backward products. Backward requires
-    pad <= k - 1, which every architecture here satisfies.
+    Forward and both backward products are each one GEMM with a patch matrix
+    (im2col). At stride 1 the forward and the input gradient copy it as
+    contiguous runs (``_correlate``); strided layers (no runs) and the weight
+    gradient (run columns would change its sum) keep one copy per kernel
+    offset (``_patches``). Backward requires pad <= k - 1, which every
+    architecture here satisfies.
     """
     if x.data.ndim != 4 or w.data.ndim != 5:
         raise InputError("conv3d expects x (C,X,Y,Z) and w (O,C,kx,ky,kz)")
@@ -314,7 +317,8 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor | None = None,
     out_dims = tuple((n + 2 * pad - k) // stride + 1 for n, k in zip((xs, ys, zs), kernel))
     xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (pad, pad)))
     w2 = w.data.reshape(c_out, -1)
-    y = (w2 @ _patches(xp, kernel, stride, out_dims)).reshape((c_out,) + out_dims)
+    y = (_correlate(xp, w2, kernel, out_dims) if stride == 1 else
+         (w2 @ _patches(xp, kernel, stride, out_dims)).reshape((c_out,) + out_dims))
     if b is not None:
         y = y + b.data[:, None, None, None]
 
@@ -329,8 +333,7 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor | None = None,
             # full correlation of g with the flipped, channel-transposed kernel
             gp = np.pad(g, ((0, 0),) + tuple((k - 1 - pad, k - 1 - pad) for k in kernel))
             w_flip = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-            grad_x = (w_flip.reshape(c_in, -1) @ _patches(gp, kernel, 1, (xs, ys, zs))
-                      ).reshape(c_in, xs, ys, zs)
+            grad_x = _correlate(gp, w_flip.reshape(c_in, -1), kernel, (xs, ys, zs))
         else:
             # scatter each kernel offset's share back through the strided
             # slices it was read from; uncovered remainder voxels stay zero
@@ -351,6 +354,33 @@ def _window(offset, stride: int, out_dims) -> tuple:
     """Slices of a padded (C, X, Y, Z) array read by one kernel offset."""
     return (slice(None),) + tuple(slice(o, o + stride * (n - 1) + 1, stride)
                                   for o, n in zip(offset, out_dims))
+
+
+# patch-matrix bytes per slab in _correlate (1 to 8 MB ran equally fast)
+_SLAB_BYTES = 4 << 20
+
+
+def _correlate(xp: np.ndarray, w2: np.ndarray, kernel, out_dims) -> np.ndarray:
+    """Stride-1 correlation, (O,) + out_dims, of a padded C-contiguous (C, X,
+    Y, Z) array with ``w2`` (O, C*k1*k2*k3). Patch row (c, i, j, l) is the
+    run of channel c from i*Y*Z + j*Z + l, so a slab of output planes is one
+    view and one copy; the GEMM covers the padded width, cropped after."""
+    c, _, ys, zs = xp.shape
+    ox, oy, oz = out_dims
+    plane, rows = ys * zs, w2.shape[1]
+    # equal slabs: a short last slab is a small GEMM that BLAS rounds differently
+    slabs = -(-ox // max(1, _SLAB_BYTES // (rows * plane * xp.itemsize)))
+    n = -(-ox // slabs)
+    full = np.empty((w2.shape[0], ox * plane), dtype=np.result_type(w2, xp))
+    for x0 in range(0, ox, n):
+        run = (min(n, ox - x0) - 1) * plane + (oy - 1) * zs + oz
+        view = np.lib.stride_tricks.as_strided(
+            xp[:, x0:], shape=(c,) + tuple(kernel) + (run,),
+            strides=(xp.strides[0],) + tuple(xp.itemsize * s for s in (plane, zs, 1, 1)),
+            writeable=False)
+        np.matmul(w2, np.ascontiguousarray(view).reshape(rows, run),
+                  out=full[:, x0 * plane:x0 * plane + run])
+    return np.ascontiguousarray(full.reshape(-1, ox, ys, zs)[:, :, :oy, :oz])
 
 
 def _patches(xp: np.ndarray, kernel, stride: int, out_dims) -> np.ndarray:

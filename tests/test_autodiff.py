@@ -317,6 +317,138 @@ class TestConvOracle:
         _assert_close(grad_b, want[2], 1e-12)
 
 
+def conv3d_patches(x: Tensor, w: Tensor, b: Tensor, pad: int = 0) -> Tensor:
+    """The stride-1 conv3d with every product taken over ``ad._patches``, the
+    per-offset copy: an oracle for the run-built ``ad._correlate``."""
+    c_in, xs, ys, zs = x.data.shape
+    c_out = w.data.shape[0]
+    kernel = w.data.shape[2:]
+    out_dims = tuple(n + 2 * pad - k + 1 for n, k in zip((xs, ys, zs), kernel))
+    xp = np.pad(x.data, ((0, 0),) + ((pad, pad),) * 3)
+    w2 = w.data.reshape(c_out, -1)
+    y = (w2 @ ad._patches(xp, kernel, 1, out_dims)).reshape((c_out,) + out_dims)
+    y = y + b.data[:, None, None, None]
+
+    def back(g):
+        g2 = g.reshape(c_out, -1)
+        grad_w = (g2 @ ad._patches(xp, kernel, 1, out_dims).T).reshape(w.data.shape)
+        gp = np.pad(g, ((0, 0),) + tuple((k - 1 - pad, k - 1 - pad) for k in kernel))
+        w_flip = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+        grad_x = (w_flip.reshape(c_in, -1) @ ad._patches(gp, kernel, 1, (xs, ys, zs))
+                  ).reshape(c_in, xs, ys, zs)
+        return grad_x, grad_w, g.sum(axis=(1, 2, 3))
+
+    return _node(y, (x, w, b), back)
+
+
+# (x shape, w shape, pad) of every stride-1 conv3d in the criterion-06
+# networks (16^3 patches): U-Net levels, skip-concat decoders, the k1 head
+# and the discriminator's k4 head on its 2^3 map
+NET_STRIDE1 = [
+    ((2, 16, 16, 16), (16, 2, 3, 3, 3), 1),
+    ((16, 16, 16, 16), (16, 16, 3, 3, 3), 1),
+    ((48, 16, 16, 16), (16, 48, 3, 3, 3), 1),
+    ((32, 8, 8, 8), (32, 32, 3, 3, 3), 1),
+    ((96, 8, 8, 8), (32, 96, 3, 3, 3), 1),
+    ((64, 4, 4, 4), (64, 64, 3, 3, 3), 1),
+    ((16, 16, 16, 16), (1, 16, 1, 1, 1), 0),
+    ((64, 2, 2, 2), (1, 64, 4, 4, 4), 1),
+]
+NET_IDS = ["2-16", "16-16", "48-16", "32-32", "96-32", "64-64", "16-1k1", "64-1k4"]
+# the TestConvForward grid at each stride-1 pad, and a tall grid
+SMALL_STRIDE1 = [
+    ((2, 6, 5, 4), (3, 2, 3, 3, 3), 0),
+    ((2, 6, 5, 4), (3, 2, 3, 3, 3), 1),
+    ((2, 6, 5, 4), (3, 2, 3, 3, 3), 2),
+    ((2, 9, 5, 4), (3, 2, 3, 3, 3), 0),
+]
+SMALL_IDS = ["6x5x4-p0", "6x5x4-p1", "6x5x4-p2", "9x5x4-p0"]
+
+
+def _slab_planes(monkeypatch, x_shape, w_shape, pad, dtype, planes: int):
+    """Set the slab budget to ``planes`` output planes of this layer's
+    forward patch matrix; returns the number of forward slabs."""
+    rows = int(np.prod(w_shape[1:]))
+    plane = (x_shape[2] + 2 * pad) * (x_shape[3] + 2 * pad)
+    monkeypatch.setattr(ad, "_SLAB_BYTES", planes * rows * plane * np.dtype(dtype).itemsize)
+    ox = x_shape[1] + 2 * pad - w_shape[2] + 1
+    return -(-ox // planes)
+
+
+class TestConvRuns:
+    """The run-built stride-1 patch matrix against ``_patches``, and the
+    stride-1 conv3d against ``conv3d_patches``."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_shape,w_shape,pad", [
+        ((2, 16, 16, 16), (1, 2, 3, 3, 3), 1),
+        ((2, 8, 8, 8), (1, 2, 3, 3, 3), 1),
+        ((2, 16, 16, 16), (1, 2, 1, 1, 1), 0),
+        ((2, 2, 2, 2), (1, 2, 4, 4, 4), 1),
+    ] + SMALL_STRIDE1, ids=["16^3", "8^3", "16^3-k1", "2^3-k4"] + SMALL_IDS)
+    @pytest.mark.parametrize("planes", [None, 2])
+    def test_patch_matrix_bytes(self, monkeypatch, dtype, x_shape, w_shape, pad, planes):
+        # an identity weight makes the GEMM an exact copy, so the product is
+        # the patch matrix itself whatever kernel BLAS picks for its shape
+        if planes is not None:
+            _slab_planes(monkeypatch, x_shape, w_shape, pad, dtype, planes)
+        rng = np.random.default_rng(list(x_shape) + [pad])
+        xp = np.pad(rng.normal(size=x_shape).astype(dtype), ((0, 0),) + ((pad, pad),) * 3)
+        kernel = w_shape[2:]
+        out_dims = tuple(n - k + 1 for n, k in zip(xp.shape[1:], kernel))
+        want = ad._patches(xp, kernel, 1, out_dims)
+        got = ad._correlate(xp, np.eye(want.shape[0], dtype=dtype), kernel, out_dims)
+        assert got.dtype == want.dtype
+        assert got.reshape(want.shape).tobytes() == want.tobytes()
+
+    @staticmethod
+    def _both(x_shape, w_shape, pad, dtype):
+        rng = np.random.default_rng(list(x_shape) + list(w_shape))
+        leaves = [rng.normal(size=s).astype(dtype) for s in (x_shape, w_shape, w_shape[:1])]
+        results = []
+        for op in (ad.conv3d, conv3d_patches):
+            out = op(*[Tensor(a, requires_grad=True) for a in leaves], pad=pad)
+            g = np.random.default_rng(1).normal(size=out.shape).astype(dtype)
+            results.append([out.data] + list(out._backward(g)))
+        return results
+
+    @pytest.mark.parametrize("x_shape,w_shape,pad", NET_STRIDE1, ids=NET_IDS)
+    def test_network_layers_bytes_f32(self, x_shape, w_shape, pad):
+        # the training dtype: every product of every criterion-06 stride-1
+        # layer is bit-equal, which keeps seeded training runs bit-equal
+        got, want = self._both(x_shape, w_shape, pad, np.float32)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("x_shape,w_shape,pad", NET_STRIDE1 + SMALL_STRIDE1,
+                             ids=NET_IDS + SMALL_IDS)
+    @pytest.mark.parametrize("planes", [None, 2])
+    def test_matches_patches(self, monkeypatch, dtype, rtol, x_shape, w_shape, pad, planes):
+        # y and grad_x go through one GEMM per slab whose column count is the
+        # run length, not ox*oy*oz; BLAS may round a GEMM's last columns or a
+        # small GEMM differently, so these agree to rounding. grad_w and
+        # grad_b do not use runs and stay bit-equal.
+        if planes is not None:
+            _slab_planes(monkeypatch, x_shape, w_shape, pad, dtype, planes)
+        (y, gx, gw, gb), (y0, gx0, gw0, gb0) = self._both(x_shape, w_shape, pad, dtype)
+        _assert_close(y, y0, rtol)
+        _assert_close(gx, gx0, rtol)
+        assert gw.tobytes() == gw0.tobytes() and gb.tobytes() == gb0.tobytes()
+
+    def test_ragged_slabs_reach_the_last_voxel(self, monkeypatch):
+        # pad 0 on a 9-long axis: 7 output planes in slabs of 2, 2, 2, 1. Only
+        # the last kernel offset is nonzero, so the last output voxel is the
+        # channel sum of the input's last voxel, where the last run ends
+        x_shape, w_shape = (2, 9, 5, 4), (3, 2, 3, 3, 3)
+        assert _slab_planes(monkeypatch, x_shape, w_shape, 0, np.float64, 2) == 4
+        x = np.random.default_rng(5).normal(size=x_shape)
+        w = np.zeros(w_shape)
+        w[:, :, -1, -1, -1] = 1.0
+        y = ad._correlate(x, w.reshape(3, -1), w_shape[2:], (7, 3, 2))
+        np.testing.assert_array_equal(y[:, -1, -1, -1], x[:, -1, -1, -1].sum())
+
+
 class TestInstanceNormOracle:
     """The one-node instance_norm against the composite oracle."""
 
@@ -530,3 +662,16 @@ class TestGradientSuite:
             worst = max(worst, check_gradients(
                 f, tensors, rng=np.random.default_rng(case), samples=8))
         assert worst < F64_TOL, f"{op}: worst rel error {worst:.3e}"
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, F32_TOL), (np.float64, F64_TOL)])
+    def test_conv3d_across_slabs(self, monkeypatch, dtype, tol):
+        # one output plane per slab: the stride-1 family's forward and input
+        # gradient each run as one GEMM per plane
+        monkeypatch.setattr(ad, "_SLAB_BYTES", 1)
+        worst = 0.0
+        for case in range(5):
+            rng = np.random.default_rng([OPS.index("conv3d"), case])
+            f, tensors = build_case("conv3d", rng, dtype)
+            worst = max(worst, check_gradients(
+                f, tensors, rng=np.random.default_rng(case), samples=8))
+        assert worst < tol, f"conv3d across slabs: worst rel error {worst:.3e}"
