@@ -13,7 +13,7 @@ import numpy as np
 
 from .dipole import DipoleKernel, apply_spectrum
 from .errors import InputError, NumericalError
-from .volume import Mask, RealVolume, forward_diff, forward_diff_adjoint
+from .volume import Mask, RealVolume, forward_diff, forward_diff_adjoint, require_same_grid
 
 log = logging.getLogger(__name__)
 
@@ -32,19 +32,16 @@ class TkdParams:
 @dataclass(frozen=True)
 class MediParams:
     lam: float = 600.0
-    edge_fraction: float = 0.3
     iters: int = 300
     step: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise InputError(f"lambda must be >= 0, got {self.lam}")
-        if not 0.0 <= self.edge_fraction < 1.0:
-            raise InputError(f"edge_fraction must be in [0, 1), got {self.edge_fraction}")
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise InputError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.iters < 1:
             raise InputError(f"iters must be >= 1, got {self.iters}")
-        if not self.step > 0:
-            raise InputError(f"step must be positive, got {self.step}")
+        if not (np.isfinite(self.step) and self.step > 0):
+            raise InputError(f"step must be finite and > 0, got {self.step}")
 
 
 @dataclass(frozen=True)
@@ -118,8 +115,7 @@ def medi_invert(field: RealVolume, kernel: DipoleKernel, weights: MediWeights,
     and Hg. Trace rows are (iteration, objective, data_term, reg_term).
     """
     kernel.require_grid(field.meta)
-    if weights.w.meta != field.meta:
-        raise InputError("weights geometry differs from field")
+    require_same_grid(field.meta, "field", weights=weights.w)
     b = field.data
     spec = kernel.spectrum
     w2 = weights.w.data ** 2
@@ -172,13 +168,9 @@ def cg_least_squares(field: RealVolume, kernel: DipoleKernel,
     kernel.require_grid(field.meta)
     if iters < 1:
         raise InputError(f"iters must be >= 1, got {iters}")
+    require_same_grid(field.meta, "field", weights=weights)
     spec = kernel.spectrum
-    if weights is None:
-        wd = np.ones(field.meta.dims)
-    else:
-        if weights.meta != field.meta:
-            raise InputError("weights geometry differs from field")
-        wd = weights.data
+    wd = np.ones(field.meta.dims) if weights is None else weights.data
 
     def a_fwd(v):
         return wd * apply_spectrum(v, spec)

@@ -152,14 +152,14 @@ def cmd_phantom(args) -> int:
 def cmd_forward(args) -> int:
     chi = read_volume(args.chi)
     kernel = build_dipole(chi.meta)
-    if args.kernel_out:
-        write_volume(RealVolume(chi.meta, kernel.spectrum), args.kernel_out)
     if args.mag_out and not args.mask:
         raise InputError("--mag-out needs --mask (magnitude is the mask "
                          "indicator)")
     mask = (read_mask(args.mask) if args.mask
             else Mask(chi.meta, np.ones(chi.meta.dims)))
     case = simulate_case(chi, mask, args.noise_sigma, args.seed, kernel)
+    if args.kernel_out:
+        write_volume(RealVolume(chi.meta, kernel.spectrum), args.kernel_out)
     if args.mag_out:
         write_volume(case.magnitude, args.mag_out)
     write_volume(case.field, args.out)
@@ -184,8 +184,7 @@ def cmd_medi(args) -> int:
     field = read_volume(args.field)
     weights = build_medi_weights(read_volume(args.magnitude),
                                  edge_fraction=args.edge_fraction)
-    params = MediParams(lam=args.lam, edge_fraction=args.edge_fraction,
-                        iters=args.iters, step=args.step)
+    params = MediParams(lam=args.lam, iters=args.iters, step=args.step)
     out, trace = medi_invert(field, build_dipole(field.meta), weights, params)
     write_volume(out, args.out)
     if args.trace:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .volume import Mask, RealVolume
+from .volume import Mask, RealVolume, require_same_grid
 
 __all__ = [
     "RegressionResult",
@@ -39,8 +39,7 @@ __all__ = [
 def _check_pair(truth: RealVolume, recon: RealVolume) -> None:
     if not isinstance(truth, RealVolume) or not isinstance(recon, RealVolume):
         raise InputError("truth and recon must be RealVolume instances")
-    if truth.meta != recon.meta:
-        raise InputError("recon geometry does not match truth")
+    require_same_grid(truth.meta, "truth", recon=recon)
 
 
 def _select(truth: RealVolume, mask: Mask | None) -> np.ndarray:
@@ -49,8 +48,7 @@ def _select(truth: RealVolume, mask: Mask | None) -> np.ndarray:
         return np.ones(truth.meta.dims, dtype=bool)
     if not isinstance(mask, Mask):
         raise InputError("mask must be a Mask instance or None")
-    if mask.meta != truth.meta:
-        raise InputError("mask geometry does not match truth")
+    require_same_grid(truth.meta, "truth", mask=mask)
     return mask.data > 0
 
 
@@ -161,10 +159,8 @@ class RoiSet:
         for name, m in self.rois:
             if not isinstance(m, Mask):
                 raise InputError(f"ROI {name!r} is not a Mask")
-        ref = self.rois[0][1].meta
-        for _, m in self.rois:
-            if m.meta != ref:
-                raise InputError("all ROI masks must share one grid")
+        require_same_grid(self.rois[0][1].meta, "the first ROI",
+                          **{f"ROI {name!r}": m for name, m in self.rois})
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -189,8 +185,7 @@ def _pooled_pairs(truth: RealVolume, recon: RealVolume, rois: RoiSet,
                   mode: str) -> tuple[np.ndarray, np.ndarray]:
     if mode not in ("voxels", "means"):
         raise InputError(f"mode must be 'voxels' or 'means', got {mode!r}")
-    if rois.rois[0][1].meta != truth.meta:
-        raise InputError("ROI grid does not match truth")
+    require_same_grid(truth.meta, "truth", ROI=rois.rois[0][1])
     xs, ys = [], []
     for _, m in rois.rois:
         sel = m.data > 0
@@ -238,8 +233,7 @@ def roi_means(recon: RealVolume, rois: RoiSet
     """Per-region (name, mean, population std) in the set's order."""
     if not isinstance(recon, RealVolume):
         raise InputError("recon must be a RealVolume instance")
-    if rois.rois[0][1].meta != recon.meta:
-        raise InputError("ROI grid does not match recon")
+    require_same_grid(recon.meta, "recon", ROI=rois.rois[0][1])
     out = []
     for name, m in rois.rois:
         vals = recon.data[m.data > 0]

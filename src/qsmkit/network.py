@@ -189,6 +189,16 @@ def forward_discriminator(disc: Discriminator, x: Tensor,
     return ad.conv3d(x, p["out.w"], p["out.b"], stride=1, pad=1)
 
 
+def check_adam(lr: float, beta1: float, beta2: float) -> None:
+    """Reject settings the bias-corrected update cannot use: a finite lr > 0
+    and each beta in [0, 1), so that 1 - beta**t never vanishes."""
+    if not (np.isfinite(lr) and lr > 0):
+        raise InputError(f"lr must be finite and > 0, got {lr}")
+    for name, v in (("beta1", beta1), ("beta2", beta2)):
+        if not 0.0 <= v < 1.0:
+            raise InputError(f"{name} must be in [0, 1), got {v}")
+
+
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray] = field(default_factory=dict)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .dipole import DipoleKernel, build_dipole, forward_field
 from .errors import InputError
-from .volume import Mask, RealVolume, VolumeMeta
+from .volume import Mask, RealVolume, VolumeMeta, require_same_grid
 
 
 @dataclass(frozen=True)
@@ -76,37 +76,31 @@ def _check_inside(meta: VolumeMeta, shape: Shape) -> None:
         raise InputError(f"shape {shape} does not lie inside the grid (fov {fov})")
 
 
-def _paint(shape: Shape, cx, cy, cz, out: np.ndarray) -> None:
-    if isinstance(shape, Sphere):
-        x0, y0, z0 = shape.center_mm
-        inside = ((cx - x0) ** 2 + (cy - y0) ** 2 + (cz - z0) ** 2
-                  <= shape.radius_mm ** 2)
-    else:
-        x0, y0, z0 = shape.corner_mm
-        ex, ey, ez = shape.extent_mm
-        inside = ((cx >= x0) & (cx < x0 + ex)
-                  & (cy >= y0) & (cy < y0 + ey)
-                  & (cz >= z0) & (cz < z0 + ez))
-    out[inside] = shape.chi
-
-
 def make_phantom(spec: PhantomSpec) -> RealVolume:
     """Rasterize shapes over a constant background, last shape wins."""
     cx, cy, cz = _centers(spec.meta)
     out = np.full(spec.meta.dims, float(spec.background_chi), dtype=np.float64)
     for shape in spec.shapes:
         _check_inside(spec.meta, shape)
-        _paint(shape, cx, cy, cz, out)
+        if isinstance(shape, Sphere):
+            x0, y0, z0 = shape.center_mm
+            inside = ((cx - x0) ** 2 + (cy - y0) ** 2 + (cz - z0) ** 2
+                      <= shape.radius_mm ** 2)
+        else:
+            x0, y0, z0 = shape.corner_mm
+            ex, ey, ez = shape.extent_mm
+            inside = ((cx >= x0) & (cx < x0 + ex)
+                      & (cy >= y0) & (cy < y0 + ey)
+                      & (cz >= z0) & (cz < z0 + ez))
+        out[inside] = shape.chi
     return RealVolume(spec.meta, out)
 
 
 def shape_coverage(spec: PhantomSpec) -> Mask:
-    """Indicator of voxels touched by any shape, for mask construction."""
-    cx, cy, cz = _centers(spec.meta)
-    out = np.zeros(spec.meta.dims, dtype=np.float64)
-    for shape in spec.shapes:
-        _check_inside(spec.meta, shape)
-        _paint(replace(shape, chi=1.0), cx, cy, cz, out)
+    """Indicator of voxels touched by any shape, for mask construction: the
+    phantom of the same shapes at chi 1 over a zero background."""
+    ones = tuple(replace(s, chi=1.0) for s in spec.shapes)
+    out = make_phantom(PhantomSpec(spec.meta, ones)).data
     if not np.any(out):
         raise InputError("spec has no shapes covering any voxel")
     return Mask(spec.meta, out)
@@ -147,10 +141,9 @@ def simulate_case(chi: RealVolume, mask: Mask, noise_sigma: float = 0.0,
     Magnitude is the mask indicator: featureless but structurally honest for
     synthetic data.
     """
-    if chi.meta != mask.meta:
-        raise InputError("chi and mask geometry differ")
-    if noise_sigma < 0:
-        raise InputError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    require_same_grid(chi.meta, "chi", mask=mask)
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise InputError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     if kernel is None:
         kernel = build_dipole(chi.meta)
     clean = forward_field(chi, kernel)

@@ -3,10 +3,12 @@ per-volume deep-prior optimization, field-only phasor training, and stitched
 full-volume inference.
 
 The three optimisation loops (``train_cycleqsm``, ``train_uqsm``,
-``optimize_dip``) share one run driver, ``_run``: each supplies a ``step()``
-closure that returns one log row, and ``_update`` is the one
-backward/Adam/zero-grad sequence. The driver owns the epoch and step loop,
-per-epoch checkpoints, the halt path and the CSV log.
+``optimize_dip``) share one run driver, ``_run``: each supplies a
+``step(update)`` closure that returns one log row and calls ``update(loss,
+name)`` per model update. The driver checks the Adam settings, owns each
+model's Adam state, the epoch and step loop, per-epoch checkpoints, the halt
+path and the CSV log; ``_update`` is the one backward/Adam/zero-grad
+sequence.
 
 Determinism contract: every routine that draws randomness takes a seed or an
 explicit rng, consumes it in a documented order, and mutates parameters only
@@ -44,11 +46,12 @@ from .network import (
     Generator,
     adam_step,
     build_generator,
+    check_adam,
     forward_generator,
     save_checkpoint,
 )
 from .phantom import SimulatedCase
-from .volume import Mask, RealVolume, VolumeMeta
+from .volume import Mask, RealVolume, VolumeMeta, require_same_grid
 
 log = logging.getLogger(__name__)
 
@@ -81,12 +84,7 @@ class TrainConfig:
             raise InputError("epochs and patches_per_epoch must be >= 1")
         if self.patch_size < 2:
             raise InputError(f"patch_size must be >= 2, got {self.patch_size}")
-        if not (np.isfinite(self.lr) and self.lr > 0):
-            raise InputError(f"lr must be finite and > 0, got {self.lr}")
-        for name in ("beta1", "beta2"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise InputError(f"{name} must be in [0, 1), got {v}")
+        check_adam(self.lr, self.beta1, self.beta2)
         if self.d_steps_per_g_step < 1 or self.batch_size < 1:
             raise InputError("d_steps_per_g_step and batch_size must be >= 1")
         if self.norm not in ("l1", "l2"):
@@ -247,12 +245,6 @@ def _require_divisible(gen: Generator, what: str, sizes) -> None:
         raise InputError(f"{what} {sizes} must be divisible by {gen.divisor}")
 
 
-def _require_field_grid(meta: VolumeMeta, magnitude, mask) -> None:
-    for name, vol in (("magnitude", magnitude), ("mask", mask)):
-        if vol is not None and vol.meta != meta:
-            raise InputError(f"{name} geometry does not match field")
-
-
 def _update(loss: Tensor, model, state: AdamState, lr: float, beta1: float,
             beta2: float, params: list[Tensor]) -> None:
     """Backward from ``loss``, one Adam step on ``model``, then clear the
@@ -292,65 +284,74 @@ def _write_trace(trace: list[float], path) -> None:
     write_csv(path, ["iteration", "objective"], enumerate(trace))
 
 
-def _run(step, models: dict, epochs: int, steps: int, checkpoint_dir=None,
-         log_path=None, write_log=_write_trace) -> list:
-    """Call ``step()`` ``steps`` times per epoch and collect what it returns.
+def _run(step, models: dict, opt: tuple, epochs: int, steps: int,
+         checkpoint_dir=None, log_path=None, write_log=_write_trace) -> list:
+    """Call ``step(update)`` ``steps`` times per epoch and collect what it
+    returns; ``update(loss, name)`` steps the model ``name`` with Adam at
+    ``opt = (lr, beta1, beta2)``, one AdamState per model.
 
-    After each epoch every model is saved as ``<name>_epoch<NNN>.dbc1`` in
-    checkpoint_dir. A NumericalError from a step halts the run with the epoch
-    and generator step in the message. With a checkpoint_dir, the parameters
-    from the start of the last step that completed (or of the halted one when
-    none did) are saved as ``<name>_last_good.dbc1`` if they are finite: a
-    diverging update shows as a failure only one step later. The rows
-    completed so far reach ``write_log(rows, log_path)`` whether the run ends
-    or halts.
+    ``opt`` is checked before any file is touched. After each epoch every
+    model is saved as ``<name>_epoch<NNN>.dbc1`` in checkpoint_dir, created
+    at the first save. A NumericalError from a step halts the run with the
+    epoch and generator step in the message. With a checkpoint_dir, the
+    parameters from the start of the last step that completed (or of the
+    halted one when none did) are saved as ``<name>_last_good.dbc1`` if they
+    are finite: a diverging update shows as a failure only one step later.
+    The rows completed so far reach ``write_log(rows, log_path)`` when the
+    run ends or halts; any other error propagates with no log written.
     """
+    check_adam(*opt)
     ckdir = Path(checkpoint_dir) if checkpoint_dir is not None else None
-    if ckdir is not None:
-        ckdir.mkdir(parents=True, exist_ok=True)
 
     def save(tag: str) -> None:
+        ckdir.mkdir(parents=True, exist_ok=True)
         for name, model in models.items():
             save_checkpoint(model, ckdir / f"{name}_{tag}.dbc1")
 
     params = [t for m in models.values() for t in m.params.values()]
+    states = {name: AdamState() for name in models}
+
+    def update(loss: Tensor, name: str) -> None:
+        _update(loss, models[name], states[name], *opt, params)
+
     ad.zero_grads(params)
     # snaps[0]: parameters at the start of the last completed step;
     # snaps[1]: at the start of the step running now
     snaps = [[t.data.copy() for t in params] for _ in range(2)] if ckdir else None
     rows: list = []
+    halt = None
     try:
         for epoch in range(epochs):
             for _ in range(steps):
                 if snaps:
                     for t, buf in zip(params, snaps[1]):
                         np.copyto(buf, t.data)
-                rows.append(step())
+                rows.append(step(update))
                 if snaps:
                     snaps.reverse()
             if ckdir is not None:
                 save(f"epoch{epoch:03d}")
     except NumericalError as exc:
-        msg = (f"training halted at epoch {epoch}, generator step "
-               f"{len(rows)}: {exc}")
-        if snaps and all(np.isfinite(buf).all() for buf in snaps[0]):
-            live = [t.data for t in params]
-            for t, buf in zip(params, snaps[0]):
-                t.data = buf
-            save("last_good")
-            for t, data in zip(params, live):
-                t.data = data
-            msg += (f"; parameters from before generator step "
-                    f"{max(len(rows) - 1, 0)} saved to ") + " and ".join(
-                f"{name}_last_good.dbc1" for name in models)
-        elif ckdir is not None:
-            msg += ("; parameters already non-finite, fall back to the "
-                    "newest epoch checkpoint")
-        raise NumericalError(msg) from exc
-    finally:
-        if log_path is not None:
-            write_log(rows, log_path)
-    return rows
+        halt = exc
+    if log_path is not None:
+        write_log(rows, log_path)
+    if halt is None:
+        return rows
+    msg = f"training halted at epoch {epoch}, generator step {len(rows)}: {halt}"
+    if snaps and all(np.isfinite(buf).all() for buf in snaps[0]):
+        live = [t.data for t in params]
+        for t, buf in zip(params, snaps[0]):
+            t.data = buf
+        save("last_good")
+        for t, data in zip(params, live):
+            t.data = data
+        msg += (f"; parameters from before generator step "
+                f"{max(len(rows) - 1, 0)} saved to ") + " and ".join(
+            f"{name}_last_good.dbc1" for name in models)
+    elif ckdir is not None:
+        msg += ("; parameters already non-finite, fall back to the "
+                "newest epoch checkpoint")
+    raise NumericalError(msg) from halt
 
 
 def train_cycleqsm(ds: UnpairedDataset, gen: Generator, disc: Discriminator,
@@ -372,29 +373,26 @@ def train_cycleqsm(ds: UnpairedDataset, gen: Generator, disc: Discriminator,
     rng = np.random.default_rng(cfg.seed)
     meta = ds.patch_meta(cfg.patch_size)
     kernel = build_dipole(meta)
-    g_state, d_state = AdamState(), AdamState()
-    all_params = list(gen.params.values()) + list(disc.params.values())
-    opt = (cfg.lr, cfg.beta1, cfg.beta2)
 
-    def step() -> LossReport:
+    def step(update) -> LossReport:
         b_b, mag_b, chi_b, mask_b = _tensor_batch(_draw_batch(ds, cfg, rng, meta.b0_dir))
         report, total_g, gan_d = total_generator_loss(
             chi_b, b_b, gen, disc, kernel, weights=cfg.weights,
             mag_batch=mag_b, mask_batch=mask_b, norm=cfg.norm,
             mask_losses=cfg.mask_losses)
-        _update(total_g, gen, g_state, *opt, all_params)
-        _update(gan_d, disc, d_state, *opt, all_params)
+        update(total_g, "gen")
+        update(gan_d, "disc")
         for _ in range(cfg.d_steps_per_g_step - 1):
             b_b, mag_b, chi_b, mask_b = _tensor_batch(_draw_batch(ds, cfg, rng, meta.b0_dir))
             fakes = [apply_generator(gen, b, m).detach()
                      for b, m in zip(b_b, mag_b)]
             extra_d, _ = lsgan_losses(disc, chi_b, fakes, mask_b)
-            _update(extra_d, disc, d_state, *opt, all_params)
+            update(extra_d, "disc")
         return report
 
     steps = max(1, cfg.patches_per_epoch // cfg.batch_size)
-    rows = _run(step, {"gen": gen, "disc": disc}, cfg.epochs, steps,
-                checkpoint_dir, log_path,
+    rows = _run(step, {"gen": gen, "disc": disc}, (cfg.lr, cfg.beta1, cfg.beta2),
+                cfg.epochs, steps, checkpoint_dir, log_path,
                 lambda rows, path: write_log_csv(rows, path, steps))
     return gen, rows
 
@@ -425,7 +423,7 @@ def infer_stitched(gen, field: RealVolume, magnitude: RealVolume | None,
     p = cfg.patch_size
     if isinstance(gen, Generator):
         _require_divisible(gen, "patch_size", p)
-    _require_field_grid(meta, magnitude, mask)
+    require_same_grid(meta, "field", magnitude=magnitude, mask=mask)
     dims = meta.dims
     pad = [(0, max(n, p) - n) for n in dims]
     f = np.pad(field.data, pad)
@@ -461,9 +459,7 @@ def optimize_dip(field: RealVolume, magnitude: RealVolume | None,
     kernel.require_grid(meta)
     if iters < 1:
         raise InputError(f"iters must be >= 1, got {iters}")
-    if not (np.isfinite(lr) and lr > 0):
-        raise InputError(f"lr must be finite and > 0, got {lr}")
-    _require_field_grid(meta, magnitude, mask)
+    require_same_grid(meta, "field", magnitude=magnitude, mask=mask)
     gen = build_generator(depth=depth, base_channels=base_channels, seed=seed)
     _require_divisible(gen, "volume dims", meta.dims)
     w_arr = magnitude.data if magnitude is not None else np.ones(meta.dims)
@@ -473,21 +469,19 @@ def optimize_dip(field: RealVolume, magnitude: RealVolume | None,
     noise = rng.uniform(0.0, 0.1, size=(2,) + meta.dims).astype(np.float32)
     phase_in = Tensor(noise[:1])
     mag_in = Tensor(noise[1:])
-    state = AdamState()
-    params = list(gen.params.values())
     best_val, best_chi = np.inf, None
 
-    def step() -> float:
+    def step(update) -> float:
         nonlocal best_val, best_chi
         chi = forward_generator(gen, phase_in, mag_in)
         loss = dip_loss(chi, field.data, w_arr, kernel, lam=lam)
         val = loss.item()
         if val < best_val:
             best_val, best_chi = val, chi.data[0].astype(np.float64)
-        _update(loss, gen, state, lr, beta1, beta2, params)
+        update(loss, "gen")
         return val
 
-    trace = _run(step, {"gen": gen}, 1, iters, log_path=log_path)
+    trace = _run(step, {"gen": gen}, (lr, beta1, beta2), 1, iters, log_path=log_path)
     out = best_chi if mask is None else best_chi * mask.data
     return RealVolume(meta, out), trace
 
@@ -505,18 +499,16 @@ def train_uqsm(ds: UnpairedDataset, gen: Generator, cfg: TrainConfig,
     rng = np.random.default_rng(cfg.seed)
     meta = ds.patch_meta(cfg.patch_size)
     kernel = build_dipole(meta)
-    state = AdamState()
-    params = list(gen.params.values())
 
-    def step() -> float:
+    def step(update) -> float:
         total = _batch_mean([
             dip_loss(forward_generator(gen, _to_tensor(phase), _to_tensor(mag)), phase,
                      mag * mask, kernel, lam=lam)
             for phase, mag, _, mask in _draw_batch(ds, cfg, rng, meta.b0_dir)])
-        _update(total, gen, state, cfg.lr, cfg.beta1, cfg.beta2, params)
+        update(total, "gen")
         return total.item()
 
     steps = max(1, cfg.patches_per_epoch // cfg.batch_size)
-    trace = _run(step, {"gen": gen}, cfg.epochs, steps, checkpoint_dir,
-                 log_path)
+    trace = _run(step, {"gen": gen}, (cfg.lr, cfg.beta1, cfg.beta2), cfg.epochs,
+                 steps, checkpoint_dir, log_path)
     return gen, trace

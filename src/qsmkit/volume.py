@@ -1,5 +1,5 @@
-"""3D volume containers, the forward-difference operator pair, DBV1 file I/O
-and the framing it shares with DBC1 checkpoints.
+"""3D volume containers, the one grid-equality check, the forward-difference
+operator pair, DBV1 file I/O and the framing it shares with DBC1 checkpoints.
 
 Arrays are indexed ``[x, y, z]`` with shape ``(nx, ny, nz)``. The serialized
 layout is x-fastest (a Fortran-order ravel of that indexing), so voxel
@@ -105,6 +105,15 @@ class Mask(RealVolume):
     @property
     def count(self) -> int:
         return int(np.count_nonzero(self.data))
+
+
+def require_same_grid(meta: VolumeMeta, against: str, /, **volumes) -> None:
+    """Reject any of ``volumes`` (None is skipped) whose grid is not ``meta``,
+    the grid of the input named ``against``; each keyword names its volume."""
+    for name, vol in volumes.items():
+        if vol is not None and vol.meta != meta:
+            raise InputError(f"{name} grid does not match {against}: inputs "
+                             f"must share one grid geometry")
 
 
 def forward_diff(arr: np.ndarray, axis: int) -> np.ndarray:

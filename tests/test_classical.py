@@ -224,11 +224,19 @@ class TestMediInvert:
         with pytest.raises(InputError):
             MediParams(lam=-1.0)
         with pytest.raises(InputError):
-            MediParams(edge_fraction=1.5)
-        with pytest.raises(InputError):
             MediParams(iters=0)
         with pytest.raises(InputError):
             MediParams(step=0.0)
+
+    @pytest.mark.parametrize("bad, word", [({"step": np.inf}, "step"),
+                                           ({"lam": np.nan}, "lambda"),
+                                           ({"lam": np.inf}, "lambda")],
+                             ids=["step-inf", "lam-nan", "lam-inf"])
+    def test_non_finite_params_rejected(self, bad, word):
+        # an infinite step would halve forever in the line search, and a
+        # non-finite lam diverges on the first objective
+        with pytest.raises(InputError, match=word):
+            MediParams(**bad)
 
     def test_weights_geometry_checked(self):
         other = VolumeMeta((8, 8, 8), (1, 1, 1))

@@ -180,6 +180,15 @@ class TestForwardNoise:
                          "--out", str(tmp_path / "b.dbv"),
                          "--noise-sigma", "-1"]) == 1
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
+    def test_bad_sigma_writes_nothing(self, sigma, sphere_files, tmp_path, capsys):
+        out, kernel = tmp_path / "noisy.dbv", tmp_path / "kernel.dbv"
+        assert cli.main(["forward", "--chi", sphere_files["chi"],
+                         "--out", str(out), "--noise-sigma", sigma,
+                         "--kernel-out", str(kernel)]) == 1
+        assert "noise_sigma" in capsys.readouterr().err
+        assert not out.exists() and not kernel.exists()
+
 
 class TestEval:
     def test_identity_row(self, sphere_files, capsys):
@@ -357,6 +366,88 @@ class TestExitCodes:
             saved = load_checkpoint(ckdir / f"{name}_last_good.dbc1")
             for n, t in model.params.items():
                 assert np.array_equal(saved.params[n].data, t.data), (name, n)
+
+
+class TestFirstStepInputErrors:
+    """Settings a run rejects before or during its first step end it with
+    exit 1 and leave no log, trace or checkpoint directory behind."""
+
+    SMALL = ["--epochs", "1", "--patches-per-epoch", "2", "--gen-depth", "2",
+             "--gen-channels", "4"]
+
+    # each rejected in the first step; 16 is wider than the 12-voxel volumes
+    FIRST_STEP = {"uqsm": ["--lam", "nan"], "dip": ["--lam", "-1"],
+                  "train": ["--patch-size", "16"]}
+
+    def argv(self, command, files, log, ckdir, extra):
+        field = files["field"]
+        return {
+            "train": ["train", "--fields", field, "--chis", files["chi"],
+                      "--out-gen", str(files["dir"] / "g.dbc"), "--log", log,
+                      "--checkpoint-dir", ckdir, "--disc-layers", "1",
+                      "--disc-channels", "4", "--patch-size", "12"] + self.SMALL,
+            "uqsm": ["uqsm", "--fields", field, "--out-gen",
+                     str(files["dir"] / "g.dbc"), "--trace", log,
+                     "--checkpoint-dir", ckdir, "--patch-size", "12"] + self.SMALL,
+            "dip": ["dip", "--field", field, "--out", str(files["dir"] / "d.dbv"),
+                    "--trace", log, "--iters", "2", "--depth", "2",
+                    "--channels", "4"],
+        }[command] + extra
+
+    @pytest.mark.parametrize("command", list(FIRST_STEP))
+    def test_nothing_written(self, command, sphere_files, tmp_path, capsys):
+        log, ckdir = tmp_path / "log.csv", tmp_path / "ck"
+        argv = self.argv(command, sphere_files, str(log), str(ckdir),
+                         self.FIRST_STEP[command])
+        assert cli.main(argv) == 1
+        assert "error" in capsys.readouterr().err
+        assert not log.exists()
+        assert not ckdir.exists()
+
+    @pytest.mark.parametrize("command", ["dip", "uqsm"])
+    @pytest.mark.parametrize("flag, value", [("beta1", "1.0"), ("beta2", "1.5"),
+                                             ("lr", "0")])
+    def test_adam_settings_checked(self, command, flag, value, sphere_files,
+                                   tmp_path, capsys):
+        log, ckdir = tmp_path / "log.csv", tmp_path / "ck"
+        argv = self.argv(command, sphere_files, str(log), str(ckdir),
+                         [f"--{flag}", value])
+        assert cli.main(argv) == 1
+        assert f"{flag} must be" in capsys.readouterr().err
+        assert not log.exists()
+        assert not ckdir.exists()
+
+
+class TestMediSettings:
+    @pytest.mark.parametrize("flag, value", [("--step", "inf"), ("--lam", "nan"),
+                                             ("--lam", "inf")])
+    def test_non_finite_rejected(self, flag, value, sphere_files, tmp_path):
+        # an infinite step would halve forever in the line search
+        out = tmp_path / "medi.dbv"
+        assert cli.main(["medi", "--field", sphere_files["field"],
+                         "--magnitude", sphere_files["mask"], "--out", str(out),
+                         "--iters", "3", flag, value]) == 1
+        assert not out.exists()
+
+
+class TestBoolKeys:
+    ARGV = ["train", "--fields", "f.dbv", "--chis", "c.dbv", "--out-gen", "g.dbc"]
+
+    @pytest.mark.parametrize("word, want", [("yes", True), ("off", False)])
+    def test_flag_words(self, word, want):
+        args = cli.build_parser().parse_args(self.ARGV + ["--mask-losses", word])
+        assert cli._read_table(args, cli.TRAIN_TABLE)["mask_losses"] is want
+
+    def test_bad_flag_word(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            cli.main(self.ARGV + ["--mask-losses", "maybe"])
+        assert e.value.code == 1
+        assert "--mask-losses" in capsys.readouterr().err
+
+    def test_bad_config_word(self, tmp_path, capsys):
+        cfg = write(tmp_path / "t.cfg", "mask_losses = maybe\n")
+        assert cli.main(self.ARGV + ["--config", cfg]) == 1
+        assert "'mask_losses'" in capsys.readouterr().err
 
 
 class TestTrainInfer:

@@ -138,6 +138,13 @@ class TestSimulateCase:
         with pytest.raises(InputError):
             simulate_case(chi, self._mask(), noise_sigma=-0.1)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        # nan compares false against 0, so it used to pass as "no noise"
+        chi = make_random_piecewise(META32, 2, seed=0)
+        with pytest.raises(InputError, match="noise_sigma"):
+            simulate_case(chi, self._mask(), noise_sigma=sigma)
+
 
 class TestAnalyticSphere:
     def test_frozen_probe_values(self):

@@ -731,3 +731,46 @@ class TestOneDrawPath:
                             in ("sample_patches", "augment")):
                         found.append(f"{path.stem}.{getattr(fn, 'name', '?')}")
         assert sorted(found) == ["training._draw_batch", "training._draw_batch"]
+
+
+def _package_scopes():
+    """(qualified name, node) for every top-level statement of the package,
+    and for every member of a top-level class."""
+    for path in sorted(Path(tr.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.ClassDef):
+                for member in top.body:
+                    yield f"{path.stem}.{top.name}.{getattr(member, 'name', '?')}", member
+            else:
+                yield f"{path.stem}.{getattr(top, 'name', '?')}", top
+
+
+def _owners(match) -> list[str]:
+    return sorted(name for name, scope in _package_scopes()
+                  for node in ast.walk(scope) if match(node))
+
+
+class TestOneGridCheck:
+    """Grid equality is written once: no ``==`` or ``!=`` takes a ``.meta``
+    operand outside ``require_same_grid`` and the kernel's own check."""
+
+    def test_meta_compared_only_in_the_two_checks(self):
+        def meta_compare(node):
+            return (isinstance(node, ast.Compare)
+                    and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+                    and any(isinstance(x, ast.Attribute) and x.attr == "meta"
+                            for x in [node.left] + node.comparators))
+
+        assert _owners(meta_compare) == ["dipole.DipoleKernel.require_grid",
+                                         "volume.require_same_grid"]
+
+
+class TestOneAdamOwner:
+    """Each model's Adam state is built in one place, the run driver."""
+
+    def test_adam_state_built_only_in_run(self):
+        def builds(node):
+            return (isinstance(node, ast.Call)
+                    and ast.unparse(node.func).rsplit(".", 1)[-1] == "AdamState")
+
+        assert _owners(builds) == ["training._run"]

@@ -15,6 +15,7 @@ from qsmkit.volume import (
     forward_diff_adjoint,
     read_mask,
     read_volume,
+    require_same_grid,
     write_volume,
 )
 
@@ -88,6 +89,15 @@ class TestContainers:
         m = np.zeros(META.dims)
         m[2, 2, 2] = 1.0
         assert Mask(META, m).count == 1
+
+
+class TestRequireSameGrid:
+    def test_names_the_volume_off_grid_and_skips_none(self):
+        other = VolumeMeta((6, 5, 4), (1.0, 1.0, 1.0))
+        require_same_grid(META, "field", magnitude=None, mask=rand_volume())
+        with pytest.raises(InputError, match="mask grid does not match field"):
+            require_same_grid(META, "field", magnitude=None,
+                              mask=rand_volume(other))
 
 
 class TestGrad:
