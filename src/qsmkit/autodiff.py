@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dipole import apply_spectrum, k_mirror
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, require
 from .volume import forward_diff, forward_diff_adjoint
 
 DEFAULT_DTYPE = np.float32
@@ -454,8 +454,8 @@ def check_gradients(f, tensors: list[Tensor], rng=None, samples: int | None = 16
     guards the all-zero-gradient corner. Step h defaults to 1e-2 for float32
     graphs and 1e-5 for float64. Returns the worst normalized error.
     """
-    if samples is not None and samples < 1:
-        raise InputError(f"samples must be >= 1, got {samples}")
+    if samples is not None:
+        require("samples", samples, ge=1)
     rng = rng or np.random.default_rng(0)
     single = any(t.data.dtype == np.float32 for t in tensors)
     step = h if h is not None else (1e-2 if single else 1e-5)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dipole import DipoleKernel, apply_spectrum
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, require
 from .volume import Mask, RealVolume, forward_diff, forward_diff_adjoint, require_same_grid
 
 log = logging.getLogger(__name__)
@@ -25,8 +25,7 @@ class TkdParams:
     a: float = 0.1
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.a < 2.0 / 3.0:
-            raise InputError(f"threshold a must lie in (0, 2/3), got {self.a}")
+        require("threshold a", self.a, gt=0, lt=2.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -36,12 +35,9 @@ class MediParams:
     step: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise InputError(f"lambda must be finite and >= 0, got {self.lam}")
-        if self.iters < 1:
-            raise InputError(f"iters must be >= 1, got {self.iters}")
-        if not (np.isfinite(self.step) and self.step > 0):
-            raise InputError(f"step must be finite and > 0, got {self.step}")
+        require("lambda", self.lam, ge=0)
+        require("iters", self.iters, ge=1)
+        require("step", self.step, gt=0)
 
 
 @dataclass(frozen=True)
@@ -75,8 +71,7 @@ def build_medi_weights(magnitude: RealVolume, edge_fraction: float = 0.3) -> Med
     M_c zeroes the voxels whose |forward difference| along axis c falls in the
     top ``edge_fraction`` quantile, so strong anatomy edges go unpenalized.
     """
-    if not 0.0 <= edge_fraction < 1.0:
-        raise InputError(f"edge_fraction must be in [0, 1), got {edge_fraction}")
+    require("edge_fraction", edge_fraction, ge=0, lt=1)
     mag = magnitude.data
     if np.any(mag < 0):
         raise InputError("magnitude must be nonnegative")
@@ -166,8 +161,8 @@ def cg_least_squares(field: RealVolume, kernel: DipoleKernel,
     because each CG step minimizes it over a nested Krylov subspace.
     """
     kernel.require_grid(field.meta)
-    if iters < 1:
-        raise InputError(f"iters must be >= 1, got {iters}")
+    require("iters", iters, ge=1)
+    require("tol", tol, ge=0)
     require_same_grid(field.meta, "field", weights=weights)
     spec = kernel.spectrum
     wd = np.ones(field.meta.dims) if weights is None else weights.data

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, require
 from .volume import RealVolume, VolumeMeta
 
 SPECTRUM_MIN = -2.0 / 3.0
@@ -104,8 +104,7 @@ def naive_inverse(field: RealVolume, kernel: DipoleKernel, eps: float = 1e-6) ->
     Unstable near the magic cone by construction; kept as the reference
     worst-case baseline.
     """
-    if not eps > 0:
-        raise InputError(f"eps must be positive, got {eps}")
+    require("eps", eps, gt=0)
     kernel.require_grid(field.meta)
     d = kernel.spectrum
     inv = np.zeros_like(d)

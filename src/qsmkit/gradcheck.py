@@ -24,7 +24,7 @@ from . import autodiff as ad
 from . import losses as ls
 from .autodiff import Tensor, check_gradients
 from .dipole import apply_spectrum, build_dipole, k_mirror
-from .errors import InputError
+from .errors import InputError, require
 from .volume import VolumeMeta
 
 F32_TOL = 1e-3
@@ -261,8 +261,8 @@ def run_suite(dtype=np.float32, n_cases: int = 20, samples: int = 8,
 
     ``seed`` shifts every case's data and probe coordinates, giving an
     independent rerun of the whole suite."""
-    if n_cases < 1:
-        raise InputError(f"n_cases (cases per family) must be >= 1, got {n_cases}")
+    require("n_cases (cases per family)", n_cases, ge=1)
+    require("seed", seed, ge=0)
     results: dict[str, float] = {}
     for idx, op in enumerate(ops):
         worst = 0.0

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .dipole import DipoleKernel
-from .errors import InputError
+from .errors import InputError, require
 from .network import Discriminator, forward_discriminator, forward_generator
 from .volume import RealVolume
 
@@ -38,9 +38,7 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("gamma", "eta", "rho", "gan"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise InputError(f"{name} must be finite and >= 0, got {v}")
+            require(name, getattr(self, name), ge=0)
 
 
 @dataclass(frozen=True)
@@ -252,8 +250,7 @@ def dip_loss(chi: Tensor, b, weight, kernel: DipoleKernel,
     plus lambda * anisotropic TV; the phasor distance is computed as
     sqrt(2 - 2 cos(H chi - b) + eps) which keeps it differentiable at 0."""
     _check_patch(chi, kernel, "chi")
-    if not np.isfinite(lam) or lam < 0:
-        raise InputError(f"lam must be finite and >= 0, got {lam}")
+    require("lam", lam, ge=0)
     dims = kernel.meta.dims
     b_arr = _as_array(b, dims, "field")[None].astype(np.float64)
     w_arr = _as_array(weight, dims, "weight")[None].astype(np.float64)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, require
 from .volume import Mask, RealVolume, require_same_grid
 
 __all__ = [
@@ -80,8 +80,7 @@ def psnr(truth: RealVolume, recon: RealVolume, mask: Mask | None = None,
         return math.inf
     if peak is None:
         peak = float(np.max(np.abs(truth.data[sel])))
-    if not (np.isfinite(peak) and peak > 0):
-        raise InputError(f"peak must be finite and > 0, got {peak}")
+    require("peak", peak, gt=0)
     return 10.0 * math.log10(peak * peak / mse)
 
 
@@ -118,12 +117,10 @@ def ssim3(truth: RealVolume, recon: RealVolume, mask: Mask | None = None,
     if window > min(truth.meta.dims):
         raise InputError(
             f"window {window} exceeds volume dims {truth.meta.dims}")
-    if not (np.isfinite(k1) and np.isfinite(k2) and k1 > 0 and k2 > 0):
-        raise InputError("k1 and k2 must be finite and > 0")
+    require("k1 and k2", k1, k2, gt=0)
     t_sel = truth.data[sel]
     span = float(t_sel.max() - t_sel.min())
-    if span <= 0:
-        raise InputError("truth has zero dynamic range over the mask")
+    require("truth's dynamic range over the mask", span, gt=0)
     c1 = (k1 * span) ** 2
     c2 = (k2 * span) ** 2
     n3 = float(window ** 3)

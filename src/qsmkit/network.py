@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import InputError, MalformedHeaderError
+from .errors import InputError, MalformedHeaderError, require
 from .volume import read_framed, write_framed
 
 DBC1_MAGIC = "DBC1"
@@ -87,8 +87,7 @@ def _generator_layout(depth: int, base_channels: int,
     """Ordered (name, shape) list of the U-Net's parameters: two 3x3x3
     conv+IN+lrelu per level, stride-2 conv down, nearest-neighbour up with
     skip concatenation, 1x1x1 linear head."""
-    if depth < 1 or base_channels < 1 or in_channels < 1:
-        raise InputError("depth, base_channels, in_channels must be >= 1")
+    require("depth, base_channels, in_channels", depth, base_channels, in_channels, ge=1)
     ch = [base_channels * 2 ** l for l in range(depth)]
     out = []
     for l in range(depth):
@@ -106,8 +105,7 @@ def _discriminator_layout(n_layers: int, base_channels: int,
                          in_channels: int) -> list[tuple[str, tuple]]:
     """Ordered (name, shape) list of the patchGAN's parameters: stride-2
     4x4x4 conv+IN+lrelu stack, then a linear 4x4x4 head."""
-    if n_layers < 1 or base_channels < 1 or in_channels < 1:
-        raise InputError("n_layers, base_channels, in_channels must be >= 1")
+    require("n_layers, base_channels, in_channels", n_layers, base_channels, in_channels, ge=1)
     ch = [in_channels] + [base_channels * 2 ** l for l in range(n_layers)]
     out = []
     for l in range(n_layers):
@@ -118,6 +116,7 @@ def _discriminator_layout(n_layers: int, base_channels: int,
 def _init_params(layout, seed: int, dtype) -> dict[str, Tensor]:
     """Truncated normal for ``.w`` (drawn in layout order), ones for
     ``.gamma``, zeros for ``.b`` and ``.beta``."""
+    require("seed", seed, ge=0)
     rng = np.random.default_rng(seed)
     params = {}
     for name, shape in layout:
@@ -192,11 +191,9 @@ def forward_discriminator(disc: Discriminator, x: Tensor,
 def check_adam(lr: float, beta1: float, beta2: float) -> None:
     """Reject settings the bias-corrected update cannot use: a finite lr > 0
     and each beta in [0, 1), so that 1 - beta**t never vanishes."""
-    if not (np.isfinite(lr) and lr > 0):
-        raise InputError(f"lr must be finite and > 0, got {lr}")
-    for name, v in (("beta1", beta1), ("beta2", beta2)):
-        if not 0.0 <= v < 1.0:
-            raise InputError(f"{name} must be in [0, 1), got {v}")
+    require("lr", lr, gt=0)
+    require("beta1", beta1, ge=0, lt=1)
+    require("beta2", beta2, ge=0, lt=1)
 
 
 @dataclass

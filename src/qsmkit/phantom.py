@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dipole import DipoleKernel, build_dipole, forward_field
-from .errors import InputError
+from .errors import InputError, require
 from .volume import Mask, RealVolume, VolumeMeta, require_same_grid
 
 
@@ -63,13 +63,13 @@ def _centers(meta: VolumeMeta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _check_inside(meta: VolumeMeta, shape: Shape) -> None:
     fov = meta.fov_mm
     if isinstance(shape, Sphere):
+        require("sphere centre", *shape.center_mm)
+        require("sphere radius", shape.radius_mm, gt=0)
         lo = [c - shape.radius_mm for c in shape.center_mm]
         hi = [c + shape.radius_mm for c in shape.center_mm]
-        if shape.radius_mm <= 0:
-            raise InputError(f"sphere radius must be positive, got {shape.radius_mm}")
     else:
-        if any(e <= 0 for e in shape.extent_mm):
-            raise InputError(f"box extents must be positive, got {shape.extent_mm}")
+        require("box corner", *shape.corner_mm)
+        require("box extents", *shape.extent_mm, gt=0)
         lo = list(shape.corner_mm)
         hi = [c + e for c, e in zip(shape.corner_mm, shape.extent_mm)]
     if any(l < 0 or h > f for l, h, f in zip(lo, hi, fov)):
@@ -114,8 +114,7 @@ def make_random_piecewise(meta: VolumeMeta, n_blobs: int,
     Per blob the generator draws center (3), semi-axes (3), then chi (1), so
     the volume is a pure function of (meta, n_blobs, chi_range, seed).
     """
-    if n_blobs < 1:
-        raise InputError(f"n_blobs must be >= 1, got {n_blobs}")
+    require("n_blobs", n_blobs, ge=1)
     lo, hi = chi_range
     if not lo < hi:
         raise InputError(f"chi_range must be increasing, got {chi_range}")
@@ -142,8 +141,8 @@ def simulate_case(chi: RealVolume, mask: Mask, noise_sigma: float = 0.0,
     synthetic data.
     """
     require_same_grid(chi.meta, "chi", mask=mask)
-    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
-        raise InputError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    require("noise_sigma", noise_sigma, ge=0)
+    require("seed", seed, ge=0)
     if kernel is None:
         kernel = build_dipole(chi.meta)
     clean = forward_field(chi, kernel)
@@ -169,8 +168,7 @@ def analytic_sphere_field(meta: VolumeMeta, center_mm: tuple[float, float, float
     against b0. Matches forward_field away from the voxelized boundary; the
     agreement is validated against the spectral operator in the test suite.
     """
-    if radius_mm <= 0:
-        raise InputError(f"radius must be positive, got {radius_mm}")
+    require("radius", radius_mm, gt=0)
     cx, cy, cz = _centers(meta)
     rx = cx - center_mm[0]
     ry = cy - center_mm[1]

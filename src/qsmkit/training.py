@@ -30,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .dipole import DipoleKernel, build_dipole
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, require
 from .losses import (
     LossReport,
     LossWeights,
@@ -80,18 +80,17 @@ class TrainConfig:
     mask_losses: bool = False
 
     def __post_init__(self):
-        if self.epochs < 1 or self.patches_per_epoch < 1:
-            raise InputError("epochs and patches_per_epoch must be >= 1")
-        if self.patch_size < 2:
-            raise InputError(f"patch_size must be >= 2, got {self.patch_size}")
+        require("epochs and patches_per_epoch", self.epochs, self.patches_per_epoch, ge=1)
+        require("patch_size", self.patch_size, ge=2)
         check_adam(self.lr, self.beta1, self.beta2)
-        if self.d_steps_per_g_step < 1 or self.batch_size < 1:
-            raise InputError("d_steps_per_g_step and batch_size must be >= 1")
+        require("d_steps_per_g_step and batch_size", self.d_steps_per_g_step,
+                self.batch_size, ge=1)
+        require("seed", self.seed, ge=0)
         if self.norm not in ("l1", "l2"):
             raise InputError(f"norm must be 'l1' or 'l2', got {self.norm!r}")
-        if not 1 <= self.stride <= self.patch_size:
-            raise InputError(
-                f"infer_stride must be in [1, patch_size], got {self.infer_stride}")
+        require("infer_stride", self.stride, ge=1)
+        if self.stride > self.patch_size:
+            raise InputError(f"infer_stride {self.stride} > patch_size {self.patch_size}")
 
     @property
     def stride(self) -> int:
@@ -273,8 +272,7 @@ def write_csv(path, header: list[str], rows) -> None:
 
 def write_log_csv(rows: list[LossReport], path, steps_per_epoch: int) -> None:
     """One CSV row per generator step: step, epoch, then the loss terms."""
-    if steps_per_epoch < 1:
-        raise InputError("steps_per_epoch must be >= 1")
+    require("steps_per_epoch", steps_per_epoch, ge=1)
     write_csv(path, ["step", "epoch", "cycle", "gan_g", "gan_d", "grad", "tv",
                      "total"],
               [(i, i // steps_per_epoch) + r.row() for i, r in enumerate(rows)])
@@ -400,8 +398,7 @@ def train_cycleqsm(ds: UnpairedDataset, gen: Generator, disc: Discriminator,
 def window_origins(n: int, p: int, stride: int) -> list[int]:
     """Sliding-window start positions covering [0, n): regular strides plus
     an edge-clamped final window so the last voxels are always covered."""
-    if p < 1 or stride < 1:
-        raise InputError("patch and stride must be >= 1")
+    require("patch and stride", p, stride, ge=1)
     if n <= p:
         return [0]
     out = list(range(0, n - p + 1, stride))
@@ -457,8 +454,7 @@ def optimize_dip(field: RealVolume, magnitude: RealVolume | None,
     """
     meta = field.meta
     kernel.require_grid(meta)
-    if iters < 1:
-        raise InputError(f"iters must be >= 1, got {iters}")
+    require("iters", iters, ge=1)
     require_same_grid(meta, "field", magnitude=magnitude, mask=mask)
     gen = build_generator(depth=depth, base_channels=base_channels, seed=seed)
     _require_divisible(gen, "volume dims", meta.dims)

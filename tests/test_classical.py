@@ -288,3 +288,15 @@ class TestCgls:
         rec, res = cg_least_squares(RealVolume(META, np.zeros(META.dims)), KERN)
         assert not np.any(rec.data)
         assert res == [0.0]
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_tol_outside_domain_rejected(self, tol):
+        # nan never stops, inf stops after one iteration, -1 never stops early
+        b = forward_field(band_limited(0.3, seed=4), KERN)
+        with pytest.raises(InputError, match="tol"):
+            cg_least_squares(b, KERN, iters=5, tol=tol)
+
+    def test_zero_tol_runs_every_iteration(self):
+        b = forward_field(make_random_piecewise(META, 4, seed=3), KERN)
+        _, res = cg_least_squares(b, KERN, iters=5, tol=0.0)
+        assert len(res) == 6

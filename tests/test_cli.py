@@ -3,8 +3,10 @@ seeded reproducibility, and every README example."""
 
 import argparse
 import csv
+import math
 import os
 import shlex
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -637,6 +639,217 @@ class TestFlagSurface:
                     if a.default is not None},
                    {a.option_strings[0] for a in acts if a.nargs is not None})
             assert got == FLAG_SURFACE[name], name
+
+
+# ------------------------------------------------------ numeric surface audit
+
+AUDIT_VALUES = ("nan", "inf", "-inf", "0", "-1")
+AUDIT_SPEC = "dims = 8 8 8\nsphere = 4 4 4 3 0.1\nbox = 3 3 3 2 2 2 0.03\n"
+
+
+def _ge(lo):
+    return lambda v: v >= lo
+
+
+# the finite values each setting admits (nan and +-inf are never admitted);
+# a setting missing here is still audited, with any exit code allowed for
+# its finite values
+DOMAIN = {
+    "seed": _ge(0), "gen_seed": _ge(0), "disc_seed": _ge(0),
+    "noise_sigma": _ge(0), "eps": lambda v: v > 0, "a": lambda v: 0 < v < 2 / 3,
+    "lam": _ge(0), "edge_fraction": lambda v: 0 <= v < 1, "iters": _ge(1),
+    "step": lambda v: v > 0, "tol": _ge(0), "epochs": _ge(1),
+    "patches_per_epoch": _ge(1), "patch_size": _ge(2), "infer_stride": _ge(1),
+    "lr": lambda v: v > 0, "beta1": lambda v: 0 <= v < 1,
+    "beta2": lambda v: 0 <= v < 1, "gamma": _ge(0), "eta": _ge(0), "rho": _ge(0),
+    "gan": _ge(0), "d_steps_per_g_step": _ge(1), "batch_size": _ge(1),
+    "gen_depth": _ge(1), "gen_channels": _ge(1), "disc_layers": _ge(1),
+    "disc_channels": _ge(1), "depth": _ge(1), "channels": _ge(1),
+    "window": lambda v: v >= 1 and v % 2 == 1, "cases": _ge(1), "samples": _ge(1),
+}
+# subcommands that draw no randomness take any integer seed
+SEEDLESS = {"phantom", "naive", "tkd", "medi", "cgls", "infer", "eval"}
+# the library name an error message uses where it differs from the key
+NAMED = {"a": "threshold a", "gen_depth": "depth", "gen_channels": "base_channels",
+         "disc_layers": "n_layers", "disc_channels": "base_channels",
+         "gen_seed": "seed", "disc_seed": "seed", "cases": "n_cases"}
+TABLES = {"train": cli.TRAIN_TABLE, "uqsm": cli.UQSM_TABLE, "dip": cli.DIP_TABLE,
+          "infer": cli.INFER_TABLE}
+
+
+def numeric_flags():
+    """(subcommand, option) for every int or float option of the parser."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(name, a.option_strings[0]) for name, sp in sub.choices.items()
+            for a in sp._actions if a.type in (int, float)]
+
+
+def admits(command: str, key: str, value: str) -> bool | None:
+    """Whether the setting's domain holds the value; None when undeclared."""
+    v = float(value)
+    if not math.isfinite(v):
+        return False
+    if key == "seed" and command in SEEDLESS:
+        return True
+    return DOMAIN[key](v) if key in DOMAIN else None
+
+
+class _Hung(Exception):
+    """Raised from the alarm; an OSError would be caught by cli.main."""
+
+
+def _on_alarm(signum, frame):
+    raise _Hung("call did not finish within its alarm")
+
+
+def run_bounded(argv, seconds: int = 30):
+    old = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.alarm(seconds)
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.fixture(scope="module")
+def audit_inputs(tmp_path_factory):
+    """An 8^3 phantom with its mask, field and a depth-1 generator."""
+    d = tmp_path_factory.mktemp("audit")
+    files = {"spec": write(d / "s.cfg", AUDIT_SPEC), "chi": str(d / "chi.dbv"),
+             "mask": str(d / "m.dbv"), "field": str(d / "b.dbv"),
+             "gen": str(d / "g.dbc")}
+    assert cli.main(["phantom", "--spec", files["spec"], "--out", files["chi"],
+                     "--mask-out", files["mask"]]) == 0
+    assert cli.main(["forward", "--chi", files["chi"], "--out", files["field"]]) == 0
+    cli.save_checkpoint(build_generator(depth=1, base_channels=2), files["gen"])
+    return files
+
+
+def audit_argv(command: str, f: dict, out: Path) -> list[str]:
+    """One-step settings on the 8^3 inputs; every output goes under ``out``."""
+    o = lambda name: str(out / name)  # noqa: E731
+    patch = ["--epochs", "1", "--patches-per-epoch", "1", "--patch-size", "8",
+             "--gen-depth", "1", "--gen-channels", "2"]
+    return [command] + {
+        "phantom": ["--spec", f["spec"], "--out", o("c.dbv"), "--mask-out", o("m.dbv")],
+        "forward": ["--chi", f["chi"], "--out", o("b.dbv"), "--mask", f["mask"],
+                    "--mag-out", o("mag.dbv"), "--kernel-out", o("k.dbv"),
+                    "--noise-sigma", "0.01"],
+        "naive": ["--field", f["field"], "--out", o("x.dbv")],
+        "tkd": ["--field", f["field"], "--out", o("x.dbv")],
+        "medi": ["--field", f["field"], "--magnitude", f["mask"], "--out", o("x.dbv"),
+                 "--trace", o("t.csv"), "--iters", "1"],
+        "cgls": ["--field", f["field"], "--weights", f["mask"], "--out", o("x.dbv"),
+                 "--trace", o("t.csv"), "--iters", "1"],
+        "train": ["--fields", f["field"], "--chis", f["chi"], "--out-gen", o("g.dbc"),
+                  "--out-disc", o("d.dbc"), "--log", o("log.csv"),
+                  "--checkpoint-dir", o("ck"), "--disc-layers", "1",
+                  "--disc-channels", "2"] + patch,
+        "infer": ["--field", f["field"], "--gen", f["gen"], "--out", o("x.dbv"),
+                  "--patch-size", "8"],
+        "dip": ["--field", f["field"], "--out", o("x.dbv"), "--trace", o("t.csv"),
+                "--iters", "1", "--depth", "1", "--channels", "2"],
+        "uqsm": ["--fields", f["field"], "--out-gen", o("g.dbc"), "--trace", o("t.csv"),
+                 "--checkpoint-dir", o("ck")] + patch,
+        "eval": ["--truth", f["chi"], "--recon", f["chi"], "--window", "3",
+                 "--roi", f"r={f['mask']}", "--roi-means", o("r.csv"), "--out", o("e.csv")],
+        "gradcheck": ["--cases", "1", "--samples", "1"],
+    }[command]
+
+
+def check_run(command: str, key: str, value: str, extra: list[str], f: dict,
+              out: Path, capsys) -> None:
+    out.mkdir()
+    argv = audit_argv(command, f, out)
+    flag = f"--{key.replace('_', '-')}"
+    if extra[0] == "--config" and flag in argv:  # a flag would beat the file
+        i = argv.index(flag)
+        del argv[i:i + 2]
+    code = run_bounded(argv + extra)
+    err = capsys.readouterr().err
+    ok = admits(command, key, value)
+    label = f"{command} {extra} -> {code}: {err.strip()}"
+    if ok is False or code == 1:
+        assert ok is not True and code == 1, label
+        assert key in err or flag in err or NAMED.get(key, key) in err, label
+        assert not any(out.iterdir()), label
+    else:
+        assert code in (0, 2), label
+
+
+class TestNumericSurface:
+    """Every int or float option and every config-table key, run with nan,
+    +-inf, 0 and -1: a value outside the setting's domain exits 1, names the
+    setting and writes nothing; a value inside it runs (0, or 2 when the
+    run diverges); nothing hangs."""
+
+    @pytest.mark.parametrize("command, flag", numeric_flags(),
+                             ids=lambda x: x.lstrip("-"))
+    def test_flag_values(self, command, flag, audit_inputs, tmp_path, capsys):
+        key = flag[2:].replace("-", "_")
+        for i, value in enumerate(AUDIT_VALUES):
+            check_run(command, key, value, [f"{flag}={value}"], audit_inputs,
+                      tmp_path / str(i), capsys)
+
+    @pytest.mark.parametrize("command, key",
+                             [(c, row[0]) for c, t in TABLES.items() for row in t])
+    def test_config_keys(self, command, key, audit_inputs, tmp_path, capsys):
+        typ = next(row[1] for row in TABLES[command] if row[0] == key)
+        value = "-1" if typ is int else "nan"
+        cfg = write(tmp_path / "t.cfg", f"{key} = {value}\n")
+        check_run(command, key, value, ["--config", cfg], audit_inputs,
+                  tmp_path / "out", capsys)
+
+    def test_domains_name_real_settings(self):
+        keys = {flag[2:].replace("-", "_") for _, flag in numeric_flags()}
+        assert set(DOMAIN) | set(NAMED) <= keys
+
+
+class TestClosedGaps:
+    """Values that used to run, or escape cli.main as a bare ValueError, now
+    exit 1 with the setting named and nothing written."""
+
+    def run(self, argv, out, capsys) -> str:
+        assert run_bounded(argv) == 1
+        assert not any(out.iterdir())
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, extra", [
+        ("naive", ["--eps=inf"]), ("cgls", ["--tol=nan"]), ("cgls", ["--tol=inf"]),
+        ("cgls", ["--tol=-1"]), ("forward", ["--seed=-1"]), ("train", ["--seed=-1"]),
+        ("train", ["--gen-seed=-1"]), ("train", ["--disc-seed=-1"]),
+        ("uqsm", ["--seed=-1"]), ("dip", ["--seed=-1"]), ("gradcheck", ["--seed=-1"]),
+    ])
+    def test_flag(self, command, extra, audit_inputs, tmp_path, capsys):
+        # the forward argv adds noise, so its seed is drawn from
+        name = extra[0][2:].split("=")[0]
+        name = "seed" if name.endswith("seed") else name
+        err = self.run(audit_argv(command, audit_inputs, tmp_path) + extra,
+                       tmp_path, capsys)
+        assert f"qsmkit: error: {name} must be" in err
+
+    def test_seed_in_config(self, audit_inputs, tmp_path, capsys):
+        cfg = write(tmp_path / "t.cfg", "gen_seed = -1\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        err = self.run(audit_argv("train", audit_inputs, out) + ["--config", cfg],
+                       out, capsys)
+        assert "qsmkit: error: seed must be" in err
+
+    @pytest.mark.parametrize("line", ["sphere = 4 4 4 nan 0.1",
+                                      "sphere = nan 4 4 2 0.1",
+                                      "box = 1 1 1 nan 2 2 0.1"])
+    def test_nan_phantom_geometry(self, line, tmp_path, capsys):
+        spec = write(tmp_path / "s.cfg", f"dims = 8 8 8\n{line}\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        err = self.run(["phantom", "--spec", spec, "--out", str(out / "c.dbv")],
+                       out, capsys)
+        assert f"qsmkit: error: {line.split()[0]}" in err
 
 
 def readme_blocks():

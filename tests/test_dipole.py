@@ -221,6 +221,12 @@ class TestNaiveInverse:
         with pytest.raises(InputError):
             naive_inverse(b, build_dipole(meta), eps=0.0)
 
+    def test_infinite_eps_rejected(self):
+        # every spectrum value lies below an infinite floor: an all-zero inverse
+        meta = METAS["iso"]
+        with pytest.raises(InputError, match="eps"):
+            naive_inverse(rand_volume(meta), build_dipole(meta), eps=np.inf)
+
     def test_noise_amplification(self):
         # near-cone bins amplify noise: noisy error dwarfs the clean error
         meta = METAS["iso"]

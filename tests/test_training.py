@@ -14,7 +14,7 @@ import qsmkit.training as tr
 from qsmkit import autodiff as ad
 from qsmkit.autodiff import Tensor
 from qsmkit.dipole import build_dipole
-from qsmkit.errors import InputError, NumericalError
+from qsmkit.errors import InputError, NumericalError, require
 from qsmkit.losses import LossWeights, dip_loss
 from qsmkit.network import (
     build_discriminator,
@@ -774,3 +774,80 @@ class TestOneAdamOwner:
                     and ast.unparse(node.func).rsplit(".", 1)[-1] == "AdamState")
 
         assert _owners(builds) == ["training._run"]
+
+
+class TestOneDomainCheck:
+    """Every numeric setting is checked by ``errors.require``: no ``raise
+    InputError`` sits under an ``if`` that compares a name (or a ``self``
+    field) with a number, or calls ``isfinite`` outside an array-wide
+    ``np.all``/``np.any``. The checks left inline are structural, not
+    settings: SSIM window parity, the autodiff op arguments, the
+    discriminator's derived map width, shape containment in the grid and
+    the VolumeMeta geometry."""
+
+    STRUCTURAL = [
+        ("autodiff.conv3d", "pad > min(k1, k2, k3) - 1 and pad > 0"),
+        ("autodiff.conv3d", "stride < 1 or pad < 0"),
+        ("autodiff.nn_upsample", "factor < 1"),
+        ("metrics.ssim3", "window < 1 or window % 2 == 0"),
+        ("network.Discriminator.require_patch", "n < 2"),
+        ("phantom._check_inside",
+         "any((l < 0 or h > f for l, h, f in zip(lo, hi, fov)))"),
+        ("volume.VolumeMeta.__post_init__", "len(dims) != 3 or any((d < 1 for d in dims))"
+         " or any((isinstance(r, (bool, np.bool_)) or r != d for r, d in zip(raw, dims)))"),
+        ("volume.VolumeMeta.__post_init__",
+         "len(voxel) != 3 or any((not (np.isfinite(s) and s > 0) for s in voxel))"),
+        ("volume.VolumeMeta.__post_init__", "norm == 0.0"),
+    ]
+
+    @staticmethod
+    def hand_check(test) -> bool:
+        def number(n):
+            n = n.operand if isinstance(n, ast.UnaryOp) else n
+            if isinstance(n, ast.BinOp):
+                return number(n.left) and number(n.right)
+            return isinstance(n, ast.Constant) and type(n.value) in (int, float)
+
+        def setting(n):
+            return isinstance(n, ast.Name) or (
+                isinstance(n, ast.Attribute) and ast.unparse(n.value) == "self")
+
+        arrays = {id(m) for n in ast.walk(test) if isinstance(n, ast.Call)
+                  and ast.unparse(n.func) in ("np.all", "np.any")
+                  for a in n.args for m in ast.walk(a)}
+        for n in ast.walk(test):
+            if id(n) in arrays:
+                continue
+            if isinstance(n, ast.Compare):
+                ops = [n.left] + n.comparators
+                if any(map(setting, ops)) and any(map(number, ops)):
+                    return True
+            if isinstance(n, ast.Call) and ast.unparse(n.func).endswith("isfinite"):
+                return True
+        return False
+
+    def test_settings_checked_only_by_require(self):
+        found = []
+        for name, scope in _package_scopes():
+            if name == "errors.require":
+                continue
+            for node in ast.walk(scope):
+                if (isinstance(node, ast.If) and self.hand_check(node.test)
+                        and any(isinstance(r, ast.Raise) and r.exc is not None
+                                and ast.unparse(r.exc).startswith("InputError(")
+                                for r in ast.walk(node))):
+                    found.append((name, ast.unparse(node.test)))
+        assert sorted(found) == self.STRUCTURAL
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_never_passes(self, value):
+        with pytest.raises(InputError, match="x must be finite, got"):
+            require("x", value)
+
+    def test_bounds_and_message(self):
+        require("seed", 10 ** 400, ge=0)  # a Python int is finite however large
+        require("beta1", 0.0, ge=0, lt=1)
+        with pytest.raises(InputError, match=r"^k1 and k2 must be > 0 and finite, got 0.0$"):
+            require("k1 and k2", 0.01, 0.0, gt=0)
+        with pytest.raises(InputError, match=r"^beta2 must be >= 0 and < 1 and finite, got 1$"):
+            require("beta2", 1, ge=0, lt=1)
