@@ -293,9 +293,10 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor | None = None,
     Forward and both backward products are each one GEMM with a patch matrix
     (im2col). At stride 1 the forward and the input gradient copy it as
     contiguous runs (``_correlate``); strided layers (no runs) and the weight
-    gradient (run columns would change its sum) keep one copy per kernel
-    offset (``_patches``). Backward requires pad <= k - 1, which every
-    architecture here satisfies.
+    gradient (run columns would change its sum) copy it whole from one strided
+    view (``_patches``). grad_w is ``(P @ g2.T).T``, because BLAS packs the large
+    C-contiguous P faster as its left operand; the bytes equal ``g2 @ P.T``.
+    Backward requires pad <= k - 1, which every architecture here satisfies.
     """
     if x.data.ndim != 4 or w.data.ndim != 5:
         raise InputError("conv3d expects x (C,X,Y,Z) and w (O,C,kx,ky,kz)")
@@ -325,7 +326,7 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor | None = None,
     def back(g):
         g2 = g.reshape(c_out, -1)
         # the patch matrix is rebuilt rather than kept alive on the tape
-        grad_w = (g2 @ _patches(xp, kernel, stride, out_dims).T).reshape(w.data.shape)
+        grad_w = (_patches(xp, kernel, stride, out_dims) @ g2.T).T.reshape(w.data.shape)
         grad_b = None if b is None else g.sum(axis=(1, 2, 3))
         if not x._live:
             grad_x = None  # input data (first layer): backward() would drop it
@@ -384,15 +385,17 @@ def _correlate(xp: np.ndarray, w2: np.ndarray, kernel, out_dims) -> np.ndarray:
 
 
 def _patches(xp: np.ndarray, kernel, stride: int, out_dims) -> np.ndarray:
-    """Patch matrix (C*k1*k2*k3, ox*oy*oz) of a padded (C, X, Y, Z) array.
+    """C-contiguous patch matrix (C*k1*k2*k3, ox*oy*oz) of a padded (C, X, Y, Z) array.
 
     Rows follow the (c, i, j, l) order of ``w.reshape(C_out, -1)``, so a
-    convolution is one matrix product; one strided copy per kernel offset.
+    convolution is one matrix product; entry ((c, i, j, l), (x, y, z)) is
+    ``xp[c, i + s*x, j + s*y, l + s*z]``, copied from one strided view.
     """
-    cols = np.empty((xp.shape[0],) + tuple(kernel) + tuple(out_dims), dtype=xp.dtype)
-    for off in np.ndindex(*kernel):
-        cols[(slice(None),) + off] = xp[_window(off, stride, out_dims)]
-    return cols.reshape(-1, int(np.prod(out_dims)))
+    sc, sx, sy, sz = xp.strides
+    view = np.lib.stride_tricks.as_strided(
+        xp, shape=(xp.shape[0],) + tuple(kernel) + tuple(out_dims),
+        strides=(sc, sx, sy, sz, stride * sx, stride * sy, stride * sz), writeable=False)
+    return np.ascontiguousarray(view).reshape(-1, int(np.prod(out_dims)))
 
 
 def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -455,7 +458,7 @@ def check_gradients(f, tensors: list[Tensor], rng=None, samples: int | None = 16
     graphs and 1e-5 for float64. Returns the worst normalized error.
     """
     if samples is not None:
-        require("samples", samples, ge=1)
+        require("samples", samples, ge=1, integer=True)
     rng = rng or np.random.default_rng(0)
     single = any(t.data.dtype == np.float32 for t in tensors)
     step = h if h is not None else (1e-2 if single else 1e-5)

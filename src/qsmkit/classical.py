@@ -36,7 +36,7 @@ class MediParams:
 
     def __post_init__(self) -> None:
         require("lambda", self.lam, ge=0)
-        require("iters", self.iters, ge=1)
+        require("iters", self.iters, ge=1, integer=True)
         require("step", self.step, gt=0)
 
 
@@ -161,7 +161,7 @@ def cg_least_squares(field: RealVolume, kernel: DipoleKernel,
     because each CG step minimizes it over a nested Krylov subspace.
     """
     kernel.require_grid(field.meta)
-    require("iters", iters, ge=1)
+    require("iters", iters, ge=1, integer=True)
     require("tol", tol, ge=0)
     require_same_grid(field.meta, "field", weights=weights)
     spec = kernel.spectrum

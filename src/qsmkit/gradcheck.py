@@ -261,8 +261,8 @@ def run_suite(dtype=np.float32, n_cases: int = 20, samples: int = 8,
 
     ``seed`` shifts every case's data and probe coordinates, giving an
     independent rerun of the whole suite."""
-    require("n_cases (cases per family)", n_cases, ge=1)
-    require("seed", seed, ge=0)
+    require("n_cases (cases per family)", n_cases, ge=1, integer=True)
+    require("seed", seed, ge=0, integer=True)
     results: dict[str, float] = {}
     for idx, op in enumerate(ops):
         worst = 0.0

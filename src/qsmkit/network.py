@@ -87,7 +87,8 @@ def _generator_layout(depth: int, base_channels: int,
     """Ordered (name, shape) list of the U-Net's parameters: two 3x3x3
     conv+IN+lrelu per level, stride-2 conv down, nearest-neighbour up with
     skip concatenation, 1x1x1 linear head."""
-    require("depth, base_channels, in_channels", depth, base_channels, in_channels, ge=1)
+    require("depth, base_channels, in_channels", depth, base_channels, in_channels,
+            ge=1, integer=True)
     ch = [base_channels * 2 ** l for l in range(depth)]
     out = []
     for l in range(depth):
@@ -105,7 +106,8 @@ def _discriminator_layout(n_layers: int, base_channels: int,
                          in_channels: int) -> list[tuple[str, tuple]]:
     """Ordered (name, shape) list of the patchGAN's parameters: stride-2
     4x4x4 conv+IN+lrelu stack, then a linear 4x4x4 head."""
-    require("n_layers, base_channels, in_channels", n_layers, base_channels, in_channels, ge=1)
+    require("n_layers, base_channels, in_channels", n_layers, base_channels, in_channels,
+            ge=1, integer=True)
     ch = [in_channels] + [base_channels * 2 ** l for l in range(n_layers)]
     out = []
     for l in range(n_layers):
@@ -116,7 +118,7 @@ def _discriminator_layout(n_layers: int, base_channels: int,
 def _init_params(layout, seed: int, dtype) -> dict[str, Tensor]:
     """Truncated normal for ``.w`` (drawn in layout order), ones for
     ``.gamma``, zeros for ``.b`` and ``.beta``."""
-    require("seed", seed, ge=0)
+    require("seed", seed, ge=0, integer=True)
     rng = np.random.default_rng(seed)
     params = {}
     for name, shape in layout:

@@ -92,6 +92,8 @@ def make_phantom(spec: PhantomSpec) -> RealVolume:
             inside = ((cx >= x0) & (cx < x0 + ex)
                       & (cy >= y0) & (cy < y0 + ey)
                       & (cz >= z0) & (cz < z0 + ez))
+        if not np.any(inside):
+            raise InputError(f"shape {shape} covers no voxel centre")
         out[inside] = shape.chi
     return RealVolume(spec.meta, out)
 
@@ -114,7 +116,7 @@ def make_random_piecewise(meta: VolumeMeta, n_blobs: int,
     Per blob the generator draws center (3), semi-axes (3), then chi (1), so
     the volume is a pure function of (meta, n_blobs, chi_range, seed).
     """
-    require("n_blobs", n_blobs, ge=1)
+    require("n_blobs", n_blobs, ge=1, integer=True)
     lo, hi = chi_range
     if not lo < hi:
         raise InputError(f"chi_range must be increasing, got {chi_range}")
@@ -142,7 +144,7 @@ def simulate_case(chi: RealVolume, mask: Mask, noise_sigma: float = 0.0,
     """
     require_same_grid(chi.meta, "chi", mask=mask)
     require("noise_sigma", noise_sigma, ge=0)
-    require("seed", seed, ge=0)
+    require("seed", seed, ge=0, integer=True)
     if kernel is None:
         kernel = build_dipole(chi.meta)
     clean = forward_field(chi, kernel)

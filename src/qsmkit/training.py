@@ -80,15 +80,16 @@ class TrainConfig:
     mask_losses: bool = False
 
     def __post_init__(self):
-        require("epochs and patches_per_epoch", self.epochs, self.patches_per_epoch, ge=1)
-        require("patch_size", self.patch_size, ge=2)
+        require("epochs and patches_per_epoch", self.epochs, self.patches_per_epoch,
+                ge=1, integer=True)
+        require("patch_size", self.patch_size, ge=2, integer=True)
         check_adam(self.lr, self.beta1, self.beta2)
         require("d_steps_per_g_step and batch_size", self.d_steps_per_g_step,
-                self.batch_size, ge=1)
-        require("seed", self.seed, ge=0)
+                self.batch_size, ge=1, integer=True)
+        require("seed", self.seed, ge=0, integer=True)
         if self.norm not in ("l1", "l2"):
             raise InputError(f"norm must be 'l1' or 'l2', got {self.norm!r}")
-        require("infer_stride", self.stride, ge=1)
+        require("infer_stride", self.stride, ge=1, integer=True)
         if self.stride > self.patch_size:
             raise InputError(f"infer_stride {self.stride} > patch_size {self.patch_size}")
 
@@ -272,7 +273,7 @@ def write_csv(path, header: list[str], rows) -> None:
 
 def write_log_csv(rows: list[LossReport], path, steps_per_epoch: int) -> None:
     """One CSV row per generator step: step, epoch, then the loss terms."""
-    require("steps_per_epoch", steps_per_epoch, ge=1)
+    require("steps_per_epoch", steps_per_epoch, ge=1, integer=True)
     write_csv(path, ["step", "epoch", "cycle", "gan_g", "gan_d", "grad", "tv",
                      "total"],
               [(i, i // steps_per_epoch) + r.row() for i, r in enumerate(rows)])
@@ -398,7 +399,7 @@ def train_cycleqsm(ds: UnpairedDataset, gen: Generator, disc: Discriminator,
 def window_origins(n: int, p: int, stride: int) -> list[int]:
     """Sliding-window start positions covering [0, n): regular strides plus
     an edge-clamped final window so the last voxels are always covered."""
-    require("patch and stride", p, stride, ge=1)
+    require("patch and stride", p, stride, ge=1, integer=True)
     if n <= p:
         return [0]
     out = list(range(0, n - p + 1, stride))
@@ -454,7 +455,7 @@ def optimize_dip(field: RealVolume, magnitude: RealVolume | None,
     """
     meta = field.meta
     kernel.require_grid(meta)
-    require("iters", iters, ge=1)
+    require("iters", iters, ge=1, integer=True)
     require_same_grid(meta, "field", magnitude=magnitude, mask=mask)
     gen = build_generator(depth=depth, base_channels=base_channels, seed=seed)
     _require_divisible(gen, "volume dims", meta.dims)

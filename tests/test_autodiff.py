@@ -317,24 +317,34 @@ class TestConvOracle:
         _assert_close(grad_b, want[2], 1e-12)
 
 
+def patches_per_offset(xp: np.ndarray, kernel, stride: int, out_dims) -> np.ndarray:
+    """The original ``ad._patches``: one strided copy per kernel offset, kept
+    as the oracle for the one-copy strided view."""
+    cols = np.empty((xp.shape[0],) + tuple(kernel) + tuple(out_dims), dtype=xp.dtype)
+    for off in np.ndindex(*kernel):
+        cols[(slice(None),) + off] = xp[ad._window(off, stride, out_dims)]
+    return cols.reshape(-1, int(np.prod(out_dims)))
+
+
 def conv3d_patches(x: Tensor, w: Tensor, b: Tensor, pad: int = 0) -> Tensor:
-    """The stride-1 conv3d with every product taken over ``ad._patches``, the
-    per-offset copy: an oracle for the run-built ``ad._correlate``."""
+    """The stride-1 conv3d with every product taken over ``patches_per_offset``
+    and ``grad_w = g2 @ P.T``: an oracle for the run-built ``ad._correlate``
+    and for the weight gradient's operand order."""
     c_in, xs, ys, zs = x.data.shape
     c_out = w.data.shape[0]
     kernel = w.data.shape[2:]
     out_dims = tuple(n + 2 * pad - k + 1 for n, k in zip((xs, ys, zs), kernel))
     xp = np.pad(x.data, ((0, 0),) + ((pad, pad),) * 3)
     w2 = w.data.reshape(c_out, -1)
-    y = (w2 @ ad._patches(xp, kernel, 1, out_dims)).reshape((c_out,) + out_dims)
+    y = (w2 @ patches_per_offset(xp, kernel, 1, out_dims)).reshape((c_out,) + out_dims)
     y = y + b.data[:, None, None, None]
 
     def back(g):
         g2 = g.reshape(c_out, -1)
-        grad_w = (g2 @ ad._patches(xp, kernel, 1, out_dims).T).reshape(w.data.shape)
+        grad_w = (g2 @ patches_per_offset(xp, kernel, 1, out_dims).T).reshape(w.data.shape)
         gp = np.pad(g, ((0, 0),) + tuple((k - 1 - pad, k - 1 - pad) for k in kernel))
         w_flip = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-        grad_x = (w_flip.reshape(c_in, -1) @ ad._patches(gp, kernel, 1, (xs, ys, zs))
+        grad_x = (w_flip.reshape(c_in, -1) @ patches_per_offset(gp, kernel, 1, (xs, ys, zs))
                   ).reshape(c_in, xs, ys, zs)
         return grad_x, grad_w, g.sum(axis=(1, 2, 3))
 
@@ -447,6 +457,67 @@ class TestConvRuns:
         w[:, :, -1, -1, -1] = 1.0
         y = ad._correlate(x, w.reshape(3, -1), w_shape[2:], (7, 3, 2))
         np.testing.assert_array_equal(y[:, -1, -1, -1], x[:, -1, -1, -1].sum())
+
+
+# (x shape, w shape, stride, pad) of the strided conv3d layers in the
+# criterion-06 networks: the U-Net's two downsamplings and the discriminator
+# stack; with NET_STRIDE1 these are all 13 conv shapes of a training step
+NET_STRIDED = [
+    ((16, 16, 16, 16), (32, 16, 3, 3, 3), 2, 1),
+    ((32, 8, 8, 8), (64, 32, 3, 3, 3), 2, 1),
+    ((1, 16, 16, 16), (16, 1, 4, 4, 4), 2, 1),
+    ((16, 8, 8, 8), (32, 16, 4, 4, 4), 2, 1),
+    ((32, 4, 4, 4), (64, 32, 4, 4, 4), 2, 1),
+]
+# the TestConvOracle grids (strides 1, 2 and 3), then SMALL_STRIDE1's tall one
+SMALL_GRIDS = [
+    ((2, 6, 5, 4), (3, 2, 3, 3, 3), 1, 0), ((2, 6, 5, 4), (3, 2, 3, 3, 3), 1, 1),
+    ((2, 6, 5, 4), (3, 2, 3, 3, 3), 1, 2), ((2, 6, 5, 4), (3, 2, 3, 3, 3), 2, 1),
+    ((2, 6, 5, 4), (3, 2, 3, 3, 3), 2, 0), ((2, 6, 5, 4), (3, 2, 1, 1, 1), 1, 0),
+    ((2, 6, 5, 4), (3, 2, 4, 4, 4), 2, 1), ((2, 6, 5, 4), (3, 2, 2, 2, 2), 3, 0),
+    ((2, 8, 8, 8), (3, 2, 4, 4, 4), 2, 1), ((3, 2, 2, 2), (1, 3, 4, 4, 4), 1, 1),
+    ((2, 8, 8, 8), (3, 2, 3, 3, 3), 2, 1), ((3, 6, 6, 6), (1, 3, 1, 1, 1), 1, 0),
+    ((2, 9, 5, 4), (3, 2, 3, 3, 3), 1, 0),
+]
+PATCH_CASES = [(x, w, 1, p) for x, w, p in NET_STRIDE1] + NET_STRIDED + SMALL_GRIDS
+PATCH_IDS = (NET_IDS + ["16-32s2", "32-64s2", "1-16k4s2", "16-32k4s2", "32-64k4s2"]
+             + [f"{x[1]}x{x[2]}x{x[3]}-k{w[2]}s{st}p{p}" for x, w, st, p in SMALL_GRIDS])
+
+
+class TestPatchesOneCopy:
+    """The one-copy ``_patches`` and the weight gradient's operand order
+    against ``patches_per_offset`` and ``g2 @ P.T``: the same bytes on every
+    criterion-06 conv shape and the small oracle grids, in both dtypes."""
+
+    @staticmethod
+    def _case(x_shape, w_shape, stride, pad, dtype):
+        rng = np.random.default_rng(list(x_shape) + list(w_shape) + [stride, pad])
+        x = rng.normal(size=x_shape).astype(dtype)
+        xp = np.pad(x, ((0, 0),) + ((pad, pad),) * 3)
+        kernel = w_shape[2:]
+        out_dims = tuple((n - k) // stride + 1 for n, k in zip(xp.shape[1:], kernel))
+        return rng, x, xp, kernel, out_dims
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_shape,w_shape,stride,pad", PATCH_CASES, ids=PATCH_IDS)
+    def test_patch_matrix_bytes(self, dtype, x_shape, w_shape, stride, pad):
+        _, _, xp, kernel, out_dims = self._case(x_shape, w_shape, stride, pad, dtype)
+        got = ad._patches(xp, kernel, stride, out_dims)
+        want = patches_per_offset(xp, kernel, stride, out_dims)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_shape,w_shape,stride,pad", PATCH_CASES, ids=PATCH_IDS)
+    def test_weight_gradient_bytes(self, dtype, x_shape, w_shape, stride, pad):
+        rng, x, xp, kernel, out_dims = self._case(x_shape, w_shape, stride, pad, dtype)
+        w = Tensor(rng.normal(size=w_shape).astype(dtype), requires_grad=True)
+        out = ad.conv3d(Tensor(x), w, stride=stride, pad=pad)
+        g = rng.normal(size=out.shape).astype(dtype)
+        grad_x, grad_w = out._backward(g)
+        want = g.reshape(w_shape[0], -1) @ patches_per_offset(xp, kernel, stride, out_dims).T
+        assert grad_x is None and grad_w.dtype == want.dtype
+        assert grad_w.tobytes() == want.reshape(w_shape).tobytes()
 
 
 class TestInstanceNormOracle:

@@ -851,6 +851,15 @@ class TestClosedGaps:
                        out, capsys)
         assert f"qsmkit: error: {line.split()[0]}" in err
 
+    def test_phantom_shape_covering_no_voxel_centre(self, tmp_path, capsys):
+        spec = write(tmp_path / "s.cfg", "dims = 8 8 8\nsphere = 4 4 4 3 0.1\n"
+                     "sphere = 2.2 2.2 2.2 0.1 0.5\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        err = self.run(["phantom", "--spec", spec, "--out", str(out / "c.dbv"),
+                        "--mask-out", str(out / "m.dbv")], out, capsys)
+        assert "qsmkit: error: shape Sphere(" in err and "covers no voxel centre" in err
+
 
 def readme_blocks():
     """Yield (kind, payload) for each fenced block: config files carry a

@@ -59,6 +59,22 @@ class TestMakePhantom:
         with pytest.raises(InputError):
             make_phantom(PhantomSpec(META32, (shape,)))
 
+    @pytest.mark.parametrize("shape", [
+        Sphere((2.2, 2.2, 2.2), 0.1, 0.5),  # inside the grid, between centres
+        Box((1.6, 1.6, 1.6), (0.8, 0.8, 0.8), 0.5),
+    ])
+    def test_shape_covering_no_voxel_centre_rejected(self, shape):
+        # a second shape must not vanish silently behind one that does cover
+        meta = VolumeMeta((8, 8, 8), (1.0, 1.0, 1.0), (0, 0, 1))
+        spec = PhantomSpec(meta, (Sphere((4, 4, 4), 3.0, 0.1), shape))
+        for build in (make_phantom, shape_coverage):
+            with pytest.raises(InputError, match="covers no voxel centre"):
+                build(spec)
+
+    def test_coverage_of_empty_spec_rejected(self):
+        with pytest.raises(InputError, match="no shapes covering any voxel"):
+            shape_coverage(PhantomSpec(META32, ()))
+
     def test_coverage_superset_of_nonbackground(self):
         spec = PhantomSpec(META32, (
             Sphere((10, 10, 10), 5.0, 0.1),

@@ -4,6 +4,7 @@ group identities, counting oracles, and descent smoke checks."""
 
 import ast
 import logging
+import os
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,10 @@ from scipy import stats
 import qsmkit.training as tr
 from qsmkit import autodiff as ad
 from qsmkit.autodiff import Tensor
+from qsmkit.classical import MediParams, cg_least_squares
 from qsmkit.dipole import build_dipole
 from qsmkit.errors import InputError, NumericalError, require
+from qsmkit.gradcheck import run_suite
 from qsmkit.losses import LossWeights, dip_loss
 from qsmkit.network import (
     build_discriminator,
@@ -851,3 +854,53 @@ class TestOneDomainCheck:
             require("k1 and k2", 0.01, 0.0, gt=0)
         with pytest.raises(InputError, match=r"^beta2 must be >= 0 and < 1 and finite, got 1$"):
             require("beta2", 1, ge=0, lt=1)
+
+
+META8 = VolumeMeta((8, 8, 8), (1.0, 1.0, 1.0), (0.0, 0.0, 1.0))
+FIELD8 = RealVolume(META8, np.zeros(META8.dims))
+# every integer setting a library caller can reach, given a fraction or a bool
+INTEGER_SETTINGS = {
+    "MediParams.iters": lambda: MediParams(iters=2.5),
+    "cg_least_squares.iters": lambda: cg_least_squares(FIELD8, build_dipole(META8), iters=2.5),
+    "optimize_dip.iters": lambda: optimize_dip(FIELD8, None, None, build_dipole(META8),
+                                               iters=1.5),
+    "optimize_dip.seed": lambda: optimize_dip(FIELD8, None, None, build_dipole(META8),
+                                              iters=1, seed=0.5),
+    "run_suite.n_cases": lambda: run_suite(n_cases=1.5),
+    "run_suite.seed": lambda: run_suite(n_cases=1, seed=True),
+    "check_gradients.samples": lambda: ad.check_gradients(
+        lambda t: ad.tsum(t), [Tensor(np.ones(2), requires_grad=True)], samples=2.5),
+    "make_random_piecewise.n_blobs": lambda: make_random_piecewise(META8, 1.5),
+    "simulate_case.seed": lambda: simulate_case(FIELD8, full_mask(META8), seed=0.5),
+    "TrainConfig.epochs": lambda: TrainConfig(epochs=1.5),
+    "TrainConfig.patches_per_epoch": lambda: TrainConfig(patches_per_epoch=4.0),
+    "TrainConfig.patch_size": lambda: TrainConfig(patch_size=8.0),
+    "TrainConfig.infer_stride": lambda: TrainConfig(infer_stride=4.5),
+    "TrainConfig.d_steps_per_g_step": lambda: TrainConfig(d_steps_per_g_step=True),
+    "TrainConfig.batch_size": lambda: TrainConfig(batch_size=1.5),
+    "TrainConfig.seed": lambda: TrainConfig(seed=0.5),
+    "build_generator.depth": lambda: build_generator(depth=2.0),
+    "build_generator.base_channels": lambda: build_generator(base_channels=4.5),
+    "build_generator.seed": lambda: build_generator(seed=1.5),
+    "build_discriminator.n_layers": lambda: build_discriminator(n_layers=True),
+    "window_origins.stride": lambda: window_origins(16, 8, 4.0),
+    "write_log_csv.steps_per_epoch": lambda: write_log_csv([], os.devnull, 1.5),
+}
+
+
+class TestIntegerSettings:
+    """Counts and seeds go through ``require(..., integer=True)``: a fraction
+    or a bool is an InputError naming the setting, not a TypeError from
+    ``range`` or a silently truncated count."""
+
+    def test_require_integer(self):
+        require("seed", np.int64(3), 10 ** 400, ge=0, integer=True)
+        for bad in (2.5, 3.0, True, np.float64(2.0)):
+            with pytest.raises(InputError,
+                               match=rf"^iters must be >= 1 and an integer, got {bad}$"):
+                require("iters", bad, ge=1, integer=True)
+
+    @pytest.mark.parametrize("call", INTEGER_SETTINGS.values(), ids=INTEGER_SETTINGS.keys())
+    def test_library_setting(self, call):
+        with pytest.raises(InputError, match="and an integer, got"):
+            call()
