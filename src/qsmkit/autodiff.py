@@ -434,11 +434,13 @@ def numeric_gradient(f, tensor: Tensor, indices, h: float) -> np.ndarray:
     flat = tensor.data.reshape(-1)
     for row, idx in enumerate(indices):
         orig = flat[idx]
-        flat[idx] = orig + h
-        fp = float(f().data)
-        flat[idx] = orig - h
-        fm = float(f().data)
-        flat[idx] = orig
+        try:
+            flat[idx] = orig + h
+            fp = float(f().data)
+            flat[idx] = orig - h
+            fm = float(f().data)
+        finally:
+            flat[idx] = orig
         out[row] = (fp - fm) / (2.0 * h)
     return out
 
@@ -459,6 +461,8 @@ def check_gradients(f, tensors: list[Tensor], rng=None, samples: int | None = 16
     """
     if samples is not None:
         require("samples", samples, ge=1, integer=True)
+    if h is not None:
+        require("h", h, gt=0)
     rng = rng or np.random.default_rng(0)
     single = any(t.data.dtype == np.float32 for t in tensors)
     step = h if h is not None else (1e-2 if single else 1e-5)

@@ -6,12 +6,15 @@ Exit codes: 0 success, 1 input error (flags, files, geometry), 2 numerical
 failure (NaN or divergence). Every subcommand accepts --seed and produces
 bit-identical outputs for identical inputs and seed; subcommands without any
 randomness simply ignore it. Config-file subcommands resolve each value as
-flag > config file > built-in default.
+flag > config file > built-in default. Each built-in default is read from the
+library function or settings class it configures (``_default``), so the two
+cannot drift apart; only the ``--seed`` and ``--disc-seed`` defaults are the CLI's.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from dataclasses import fields
 
@@ -238,6 +241,10 @@ def _read_table(args, table) -> dict:
     return vals
 
 
+def _default(fn, name: str):
+    return inspect.signature(fn).parameters[name].default
+
+
 _D = TrainConfig()
 _W = LossWeights()
 
@@ -264,11 +271,15 @@ TRAIN_TABLE = [
     ("norm", str, _D.norm, "residual norm, l1 or l2"),
     ("mask_losses", bool, _D.mask_losses,
      "apply masks inside the cycle/gradient/tv residuals"),
-    ("gen_depth", int, 3, "generator U-Net depth"),
-    ("gen_channels", int, 16, "generator base channels"),
-    ("gen_seed", int, 0, "generator init seed"),
-    ("disc_layers", int, 3, "discriminator strided conv layers"),
-    ("disc_channels", int, 16, "discriminator base channels"),
+    ("gen_depth", int, _default(build_generator, "depth"), "generator U-Net depth"),
+    ("gen_channels", int, _default(build_generator, "base_channels"),
+     "generator base channels"),
+    ("gen_seed", int, _default(build_generator, "seed"), "generator init seed"),
+    ("disc_layers", int, _default(build_discriminator, "n_layers"),
+     "discriminator strided conv layers"),
+    ("disc_channels", int, _default(build_discriminator, "base_channels"),
+     "discriminator base channels"),
+    # the CLI's own choice: the library's 0 would give both networks one seed
     ("disc_seed", int, 1, "discriminator init seed"),
 ]
 
@@ -276,17 +287,18 @@ UQSM_TABLE = [row for row in TRAIN_TABLE
               if row[0] in ("epochs", "patches_per_epoch", "patch_size",
                             "lr", "beta1", "beta2", "seed", "batch_size",
                             "gen_depth", "gen_channels", "gen_seed")]
-UQSM_TABLE.append(("lam", float, 1e-3, "total-variation weight"))
+UQSM_TABLE.append(("lam", float, _default(train_uqsm, "lam"), "total-variation weight"))
 
 DIP_TABLE = [
-    ("lam", float, 1e-3, "total-variation weight"),
-    ("iters", int, 200, "optimization iterations"),
-    ("lr", float, 1e-3, "Adam learning rate"),
-    ("seed", int, 0, "seed for init and the fixed noise input"),
-    ("depth", int, 3, "U-Net depth"),
-    ("channels", int, 8, "U-Net base channels"),
-    ("beta1", float, 0.5, "Adam first-moment decay"),
-    ("beta2", float, 0.999, "Adam second-moment decay"),
+    ("lam", float, _default(optimize_dip, "lam"), "total-variation weight"),
+    ("iters", int, _default(optimize_dip, "iters"), "optimization iterations"),
+    ("lr", float, _default(optimize_dip, "lr"), "Adam learning rate"),
+    ("seed", int, _default(optimize_dip, "seed"),
+     "seed for init and the fixed noise input"),
+    ("depth", int, _default(optimize_dip, "depth"), "U-Net depth"),
+    ("channels", int, _default(optimize_dip, "base_channels"), "U-Net base channels"),
+    ("beta1", float, _default(optimize_dip, "beta1"), "Adam first-moment decay"),
+    ("beta2", float, _default(optimize_dip, "beta2"), "Adam second-moment decay"),
 ]
 
 INFER_TABLE = [
@@ -467,6 +479,12 @@ def _add_seed(p: argparse.ArgumentParser, help_: str = "random seed") -> None:
     p.add_argument("--seed", type=int, default=0, help=f"{help_} (default 0)")
 
 
+def _add_number(p: argparse.ArgumentParser, flag: str, fn, name: str, help_: str) -> None:
+    default = _default(fn, name)
+    p.add_argument(flag, type=type(default), default=default,
+                   help=f"{help_} (default {default:g})")
+
+
 def _add_training_io(p: argparse.ArgumentParser) -> None:
     """The input and output flags of the patch trainers, train and uqsm."""
     p.add_argument("--fields", nargs="+", required=True,
@@ -509,8 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
                                    "optionally adding white Gaussian noise.")
     p.add_argument("--chi", required=True, help="input chi volume (DBV1)")
     p.add_argument("--out", required=True, help="output field volume (DBV1)")
-    p.add_argument("--noise-sigma", type=float, default=0.0,
-                   help="white noise standard deviation (default 0)")
+    _add_number(p, "--noise-sigma", simulate_case, "noise_sigma",
+                "white noise standard deviation")
     p.add_argument("--mask", help="mask volume; attaches the indicator "
                                   "magnitude convention")
     p.add_argument("--mag-out", help="write the magnitude (needs --mask)")
@@ -525,8 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "baseline.")
     p.add_argument("--field", required=True, help="input field (DBV1)")
     p.add_argument("--out", required=True, help="output chi (DBV1)")
-    p.add_argument("--eps", type=float, default=1e-6,
-                   help="division floor (default 1e-06)")
+    _add_number(p, "--eps", naive_inverse, "eps", "division floor")
     _add_seed(p, "unused; this inverse is deterministic")
     p.set_defaults(func=cmd_naive)
 
@@ -535,8 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "a before dividing.")
     p.add_argument("--field", required=True, help="input field (DBV1)")
     p.add_argument("--out", required=True, help="output chi (DBV1)")
-    p.add_argument("--a", type=float, default=0.1,
-                   help="spectrum threshold (default 0.1)")
+    _add_number(p, "--a", TkdParams, "a", "spectrum threshold")
     _add_seed(p, "unused; this inverse is deterministic")
     p.set_defaults(func=cmd_tkd)
 
@@ -549,15 +565,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--magnitude", required=True,
                    help="magnitude image for the weights (DBV1)")
     p.add_argument("--out", required=True, help="output chi (DBV1)")
-    p.add_argument("--lam", type=float, default=600.0,
-                   help="regularization weight (default 600)")
-    p.add_argument("--edge-fraction", type=float, default=0.3,
-                   help="fraction of strongest magnitude edges released "
-                        "from the TV penalty (default 0.3)")
-    p.add_argument("--iters", type=int, default=300,
-                   help="iterations (default 300)")
-    p.add_argument("--step", type=float, default=1.0,
-                   help="initial step size (default 1)")
+    _add_number(p, "--lam", MediParams, "lam", "regularization weight")
+    _add_number(p, "--edge-fraction", build_medi_weights, "edge_fraction",
+                "fraction of strongest magnitude edges released from the TV penalty")
+    _add_number(p, "--iters", MediParams, "iters", "iterations")
+    _add_number(p, "--step", MediParams, "step", "initial step size")
     p.add_argument("--trace", help="write the objective trace CSV here")
     _add_seed(p, "unused; this solver is deterministic")
     p.set_defaults(func=cmd_medi)
@@ -568,10 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True, help="input field (DBV1)")
     p.add_argument("--out", required=True, help="output chi (DBV1)")
     p.add_argument("--weights", help="data weight volume W (DBV1)")
-    p.add_argument("--iters", type=int, default=50,
-                   help="maximum iterations (default 50)")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="relative residual stop (default 1e-10)")
+    _add_number(p, "--iters", cg_least_squares, "iters", "maximum iterations")
+    _add_number(p, "--tol", cg_least_squares, "tol", "relative residual stop")
     p.add_argument("--trace", help="write the objective trace CSV here")
     _add_seed(p, "unused; this solver is deterministic")
     p.set_defaults(func=cmd_cgls)
@@ -633,14 +643,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--recon", required=True, help="reconstruction (DBV1)")
     p.add_argument("--mask", help="evaluate inside this mask only "
                                   "(default whole volume)")
-    p.add_argument("--window", type=int, default=7,
-                   help="SSIM window side (default 7)")
+    _add_number(p, "--window", ssim3, "window", "SSIM window side")
     p.add_argument("--roi", action="append", metavar="NAME=PATH",
                    help="named region mask; repeat per region")
-    p.add_argument("--roi-mode", choices=("voxels", "means"),
-                   default="voxels",
+    roi_mode = _default(roi_regression, "mode")
+    p.add_argument("--roi-mode", choices=("voxels", "means"), default=roi_mode,
                    help="regress pooled voxels or one point per region "
-                        "(default voxels)")
+                        f"(default {roi_mode})")
     p.add_argument("--roi-means", help="write per-region mean/std CSV here")
     p.add_argument("--out", help="also write the metrics row to this CSV")
     _add_seed(p, "unused; metrics are deterministic")
@@ -651,10 +660,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Check every autodiff op and loss against central "
                     "differences in both precisions; nonzero exit on any "
                     "tolerance breach.")
-    p.add_argument("--cases", type=int, default=20,
-                   help="random cases per family (default 20)")
-    p.add_argument("--samples", type=int, default=8,
-                   help="probed coordinates per tensor (default 8)")
+    _add_number(p, "--cases", run_suite, "n_cases", "random cases per family")
+    _add_number(p, "--samples", run_suite, "samples", "probed coordinates per tensor")
     _add_seed(p, "shifts every case's data and probes")
     p.set_defaults(func=cmd_gradcheck)
 

@@ -112,8 +112,9 @@ def ssim3(truth: RealVolume, recon: RealVolume, mask: Mask | None = None,
     """
     _check_pair(truth, recon)
     sel = _select(truth, mask)
-    if window < 1 or window % 2 == 0:
-        raise InputError(f"window must be odd and >= 1, got {window}")
+    require("window", window, ge=1, integer=True)
+    if window % 2 == 0:
+        raise InputError(f"window must be odd, got {window}")
     if window > min(truth.meta.dims):
         raise InputError(
             f"window {window} exceeds volume dims {truth.meta.dims}")

@@ -234,14 +234,15 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     return state
 
 
-_KINDS = {"generator": (Generator, _generator_layout),
-          "discriminator": (Discriminator, _discriminator_layout)}
+# per kind: the model class, its layout and the config key counting its levels
+_KINDS = {"generator": (Generator, _generator_layout, "depth"),
+          "discriminator": (Discriminator, _discriminator_layout, "n_layers")}
 
 
 def save_checkpoint(model: Generator | Discriminator, path: str | Path) -> None:
     """DBC1: one-line JSON header (kind, config, named shapes), newline, then
     the parameter blobs as little-endian float32 in header order."""
-    kind = next((k for k, (cls, _) in _KINDS.items() if isinstance(model, cls)), None)
+    kind = next((k for k, (cls, *_) in _KINDS.items() if isinstance(model, cls)), None)
     if kind is None:
         raise InputError(f"cannot checkpoint object of type {type(model).__name__}")
     write_framed(path, {
@@ -261,10 +262,16 @@ def load_checkpoint(path: str | Path) -> Generator | Discriminator:
         try:
             if kind not in _KINDS:
                 raise MalformedHeaderError(f"{path}: unknown kind {kind!r}")
-            cls, layout_of = _KINDS[kind]
+            cls, layout_of, levels = _KINDS[kind]
             config = header["config"]
-            layout = layout_of(**config)
             entries = [(e["name"], tuple(e["shape"])) for e in header["params"]]
+            # every level adds at least four entries, so a deeper header cannot
+            # match, and its layout would cost time and memory quadratic in depth
+            if config[levels] > len(entries):
+                raise MalformedHeaderError(
+                    f"{path}: {levels} {config[levels]} exceeds the header's "
+                    f"{len(entries)} parameter entries")
+            layout = layout_of(**config)
         except (TypeError, KeyError) as exc:
             raise MalformedHeaderError(f"{path}: bad config or params: {exc}") from exc
         if [n for n, _ in entries] != [n for n, _ in layout]:

@@ -118,6 +118,7 @@ def make_random_piecewise(meta: VolumeMeta, n_blobs: int,
     """
     require("n_blobs", n_blobs, ge=1, integer=True)
     lo, hi = chi_range
+    require("chi_range", lo, hi)
     if not lo < hi:
         raise InputError(f"chi_range must be increasing, got {chi_range}")
     rng = np.random.default_rng(seed)

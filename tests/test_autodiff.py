@@ -9,7 +9,14 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from qsmkit import autodiff as ad
-from qsmkit.autodiff import Tensor, _node, backward, check_gradients, zero_grads
+from qsmkit.autodiff import (
+    Tensor,
+    _node,
+    backward,
+    check_gradients,
+    numeric_gradient,
+    zero_grads,
+)
 from qsmkit.dipole import apply_spectrum, build_dipole
 from qsmkit.errors import InputError, NumericalError
 from qsmkit.gradcheck import F32_TOL, F64_TOL, OPS, _even_spectrum, build_case
@@ -98,6 +105,25 @@ class TestBackwardMechanics:
         y = Tensor([1.0], requires_grad=True)
         with pytest.raises(NumericalError):
             check_gradients(lambda: ad.tsum(ad.mul(x, x)), [y])
+
+
+class TestGradcheckStep:
+    @pytest.mark.parametrize("h", [0.0, -1e-3, np.nan, np.inf])
+    def test_bad_step_rejected_before_any_probe(self, h):
+        x = Tensor([1.0, 2.0], requires_grad=True, dtype=np.float64)
+        with pytest.raises(InputError, match=rf"^h must be > 0 and finite, got {h}$"):
+            check_gradients(lambda: ad.tsum(ad.mul(x, x)), [x], h=h)
+        np.testing.assert_array_equal(x.data, [1.0, 2.0])
+
+    def test_probe_restored_when_objective_raises(self):
+        x = Tensor([1.0, 2.0], dtype=np.float64)
+
+        def f():
+            raise NumericalError("objective failed")
+
+        with pytest.raises(NumericalError):
+            numeric_gradient(f, x, [1], 1e-3)
+        np.testing.assert_array_equal(x.data, [1.0, 2.0])
 
 
 class TestBroadcastGrads:

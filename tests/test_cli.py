@@ -2,9 +2,11 @@
 seeded reproducibility, and every README example."""
 
 import argparse
+import ast
 import csv
 import math
 import os
+import re
 import shlex
 import signal
 import subprocess
@@ -639,6 +641,45 @@ class TestFlagSurface:
                     if a.default is not None},
                    {a.option_strings[0] for a in acts if a.nargs is not None})
             assert got == FLAG_SURFACE[name], name
+
+
+class TestOneDefault:
+    """Each CLI default is written once, in the library the option configures:
+    no ``default=`` keyword, table row default or help text in ``cli.py``
+    states a number, apart from the CLI's own seeds. Finding those seeds shows
+    that each of the three forms is seen."""
+
+    OWN = [("_add_seed", 0), ("_add_seed", "(default 0"), ("disc_seed", 1)]
+
+    @staticmethod
+    def number(node) -> bool:
+        try:
+            return type(ast.literal_eval(node)) in (int, float)
+        except ValueError:
+            return False
+
+    def written_defaults(self, source: str) -> list:
+        """(enclosing def or row key, value) for each number stated as a
+        default."""
+        found = []
+        for top in ast.parse(source).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    found += [(getattr(top, "name", "?"), ast.literal_eval(k.value))
+                              for k in node.keywords
+                              if k.arg == "default" and self.number(k.value)]
+                elif (isinstance(node, ast.Tuple) and len(node.elts) == 4
+                      and isinstance(node.elts[0], ast.Constant)
+                      and self.number(node.elts[2])):
+                    found.append((node.elts[0].value, ast.literal_eval(node.elts[2])))
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    found += [(getattr(top, "name", "?"), m) for m in
+                              re.findall(r"\(default -?\.?\d", node.value)]
+        return sorted(found, key=repr)
+
+    def test_defaults_come_from_the_library(self):
+        source = Path(cli.__file__).read_text()
+        assert self.written_defaults(source) == sorted(self.OWN, key=repr)
 
 
 # ------------------------------------------------------ numeric surface audit

@@ -204,6 +204,13 @@ class TestSsim:
         with pytest.raises(InputError, match="k1 and k2"):
             ssim3(t, r, k1=0.0)
 
+    @pytest.mark.parametrize("window", [7.0, 7.5, True, 0])
+    def test_window_must_be_a_positive_integer(self, window):
+        t, r = random_pair(16)
+        with pytest.raises(InputError,
+                           match=rf"^window must be >= 1 and an integer, got {window}$"):
+            ssim3(t, r, window=window)
+
     def test_constant_truth_rejected(self):
         c = vol(np.full(META.dims, 0.3))
         t, _ = random_pair(17)

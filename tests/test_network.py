@@ -424,6 +424,28 @@ class TestCheckpoints:
             assert type(loaded) is type(model) and loaded.config() == model.config()
             assert_same_params(loaded.params, model.params)
 
+    @pytest.mark.parametrize("model,levels", [
+        (build_generator(depth=2, base_channels=2), "depth"),
+        (build_discriminator(n_layers=2, base_channels=2), "n_layers")])
+    def test_oversized_depth_rejected_before_layout(self, model, levels, tmp_path,
+                                                    monkeypatch):
+        path = tmp_path / "m.dbc1"
+        save_checkpoint(model, path)
+        raw = path.read_bytes()
+        nl = raw.index(b"\n")
+        header = json.loads(raw[:nl])
+        header["config"][levels] = 20000
+        path.write_bytes(json.dumps(header).encode() + raw[nl:])
+
+        def no_layout(*args, **kwargs):
+            raise AssertionError("load_checkpoint built the layout")
+
+        kind = header["kind"]
+        cls, _, *rest = network._KINDS[kind]
+        monkeypatch.setitem(network._KINDS, kind, (cls, no_layout, *rest))
+        with pytest.raises(MalformedHeaderError, match=f"{levels} 20000 exceeds"):
+            load_checkpoint(path)
+
     def test_shape_mismatch(self, tmp_path):
         g = tiny_generator()
         path = tmp_path / "g.dbc1"

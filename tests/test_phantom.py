@@ -104,6 +104,11 @@ class TestRandomPiecewise:
         with pytest.raises(InputError):
             make_random_piecewise(META32, 3, chi_range=(0.2, -0.2))
 
+    @pytest.mark.parametrize("chi_range", [(-np.inf, 0.1), (0.0, np.inf), (np.nan, 0.1)])
+    def test_chi_range_must_be_finite(self, chi_range):
+        with pytest.raises(InputError, match="^chi_range must be finite"):
+            make_random_piecewise(META32, 3, chi_range=chi_range)
+
     def test_blob_chi_uniform(self):
         # single-blob phantoms; blob value read off the dominant voxel
         meta = VolumeMeta((16, 16, 16), (1.0, 1.0, 1.0))

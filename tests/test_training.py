@@ -784,15 +784,14 @@ class TestOneDomainCheck:
     InputError`` sits under an ``if`` that compares a name (or a ``self``
     field) with a number, or calls ``isfinite`` outside an array-wide
     ``np.all``/``np.any``. The checks left inline are structural, not
-    settings: SSIM window parity, the autodiff op arguments, the
-    discriminator's derived map width, shape containment in the grid and
-    the VolumeMeta geometry."""
+    settings: the autodiff op arguments, the discriminator's derived map
+    width, shape containment in the grid and the VolumeMeta geometry (SSIM
+    window parity stays inline too, but compares no name with a number)."""
 
     STRUCTURAL = [
         ("autodiff.conv3d", "pad > min(k1, k2, k3) - 1 and pad > 0"),
         ("autodiff.conv3d", "stride < 1 or pad < 0"),
         ("autodiff.nn_upsample", "factor < 1"),
-        ("metrics.ssim3", "window < 1 or window % 2 == 0"),
         ("network.Discriminator.require_patch", "n < 2"),
         ("phantom._check_inside",
          "any((l < 0 or h > f for l, h, f in zip(lo, hi, fov)))"),
