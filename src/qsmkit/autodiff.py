@@ -293,10 +293,13 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor | None = None,
     Forward and both backward products are each one GEMM with a patch matrix
     (im2col). At stride 1 the forward and the input gradient copy it as
     contiguous runs (``_correlate``); strided layers (no runs) and the weight
-    gradient (run columns would change its sum) copy it whole from one strided
-    view (``_patches``). grad_w is ``(P @ g2.T).T``, because BLAS packs the large
-    C-contiguous P faster as its left operand; the bytes equal ``g2 @ P.T``.
-    Backward requires pad <= k - 1, which every architecture here satisfies.
+    gradient (run columns would change its sum) copy it from one strided view
+    (``_patches``). The tape keeps no padded input: ``back()`` pads ``x.data``
+    again, which nothing writes to in between. grad_w is ``(P @ g2.T).T``,
+    because BLAS packs the C-contiguous P faster as its left operand, formed
+    in blocks of input channels (``_weight_grad``); the bytes equal
+    ``g2 @ P.T``. Backward requires pad <= k - 1, which every architecture
+    here satisfies.
     """
     if x.data.ndim != 4 or w.data.ndim != 5:
         raise InputError("conv3d expects x (C,X,Y,Z) and w (O,C,kx,ky,kz)")
@@ -316,7 +319,7 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor | None = None,
 
     kernel = (k1, k2, k3)
     out_dims = tuple((n + 2 * pad - k) // stride + 1 for n, k in zip((xs, ys, zs), kernel))
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (pad, pad)))
+    xp = _pad(x.data, (pad,) * 3)
     w2 = w.data.reshape(c_out, -1)
     y = (_correlate(xp, w2, kernel, out_dims) if stride == 1 else
          (w2 @ _patches(xp, kernel, stride, out_dims)).reshape((c_out,) + out_dims))
@@ -325,14 +328,14 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor | None = None,
 
     def back(g):
         g2 = g.reshape(c_out, -1)
-        # the patch matrix is rebuilt rather than kept alive on the tape
-        grad_w = (_patches(xp, kernel, stride, out_dims) @ g2.T).T.reshape(w.data.shape)
+        xp = _pad(x.data, (pad,) * 3)
+        grad_w = _weight_grad(xp, g2, kernel, stride, out_dims).T.reshape(w.data.shape)
         grad_b = None if b is None else g.sum(axis=(1, 2, 3))
         if not x._live:
             grad_x = None  # input data (first layer): backward() would drop it
         elif stride == 1:
             # full correlation of g with the flipped, channel-transposed kernel
-            gp = np.pad(g, ((0, 0),) + tuple((k - 1 - pad, k - 1 - pad) for k in kernel))
+            gp = _pad(g, tuple(k - 1 - pad for k in kernel))
             w_flip = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
             grad_x = _correlate(gp, w_flip.reshape(c_in, -1), kernel, (xs, ys, zs))
         else:
@@ -357,8 +360,30 @@ def _window(offset, stride: int, out_dims) -> tuple:
                                   for o, n in zip(offset, out_dims))
 
 
-# patch-matrix bytes per slab in _correlate (1 to 8 MB ran equally fast)
+def _pad(a: np.ndarray, pads) -> np.ndarray:
+    """``a`` (C, X, Y, Z) with ``pads[i]`` zeros on both sides of spatial axis
+    i: the bytes of ``np.pad``, always C-contiguous, a copy unless every pad is 0."""
+    if not any(pads):
+        return np.ascontiguousarray(a)
+    out = np.zeros(a.shape[:1] + tuple(n + 2 * p for n, p in zip(a.shape[1:], pads)),
+                   dtype=a.dtype)
+    out[(slice(None),) + tuple(slice(p, p + n) for n, p in zip(a.shape[1:], pads))] = a
+    return out
+
+
+# patch-matrix bytes per slab in _correlate and _weight_grad (1 to 8 MB ran
+# equally fast)
 _SLAB_BYTES = 4 << 20
+# OpenBLAS rounds a GEMM of M*N*K <= 1e6 with its small-matrix kernel, so a
+# block that small would not give the bytes of the whole product
+_BLAS_SMALL_MNK = 10 ** 6
+
+
+def _equal_blocks(count: int, unit_bytes: int) -> int:
+    """Units per block when ``count`` units of ``unit_bytes`` each split into the
+    fewest equal blocks within _SLAB_BYTES: a short last block would be a small
+    GEMM that BLAS rounds differently."""
+    return -(-count // -(-count // max(1, _SLAB_BYTES // unit_bytes)))
 
 
 def _correlate(xp: np.ndarray, w2: np.ndarray, kernel, out_dims) -> np.ndarray:
@@ -369,9 +394,7 @@ def _correlate(xp: np.ndarray, w2: np.ndarray, kernel, out_dims) -> np.ndarray:
     c, _, ys, zs = xp.shape
     ox, oy, oz = out_dims
     plane, rows = ys * zs, w2.shape[1]
-    # equal slabs: a short last slab is a small GEMM that BLAS rounds differently
-    slabs = -(-ox // max(1, _SLAB_BYTES // (rows * plane * xp.itemsize)))
-    n = -(-ox // slabs)
+    n = _equal_blocks(ox, rows * plane * xp.itemsize)
     full = np.empty((w2.shape[0], ox * plane), dtype=np.result_type(w2, xp))
     for x0 in range(0, ox, n):
         run = (min(n, ox - x0) - 1) * plane + (oy - 1) * zs + oz
@@ -382,6 +405,22 @@ def _correlate(xp: np.ndarray, w2: np.ndarray, kernel, out_dims) -> np.ndarray:
         np.matmul(w2, np.ascontiguousarray(view).reshape(rows, run),
                   out=full[:, x0 * plane:x0 * plane + run])
     return np.ascontiguousarray(full.reshape(-1, ox, ys, zs)[:, :, :oy, :oz])
+
+
+def _weight_grad(xp: np.ndarray, g2: np.ndarray, kernel, stride: int, out_dims) -> np.ndarray:
+    """``_patches(xp, ...) @ g2.T``, (C*k1*k2*k3, O), one GEMM per block of input
+    channels. Equal blocks keep each block's patch matrix within _SLAB_BYTES;
+    the product is split only while every block stays above _BLAS_SMALL_MNK."""
+    c, taps = xp.shape[0], int(np.prod(kernel))
+    o, cols = g2.shape
+    n = _equal_blocks(c, taps * cols * xp.itemsize)
+    if ((c - 1) % n + 1) * taps * o * cols <= _BLAS_SMALL_MNK:  # the last block is the smallest
+        n = c
+    rows = np.empty((c * taps, o), dtype=np.result_type(xp, g2))
+    for c0 in range(0, c, n):
+        np.matmul(_patches(xp[c0:c0 + n], kernel, stride, out_dims), g2.T,
+                  out=rows[c0 * taps:(c0 + n) * taps])
+    return rows
 
 
 def _patches(xp: np.ndarray, kernel, stride: int, out_dims) -> np.ndarray:

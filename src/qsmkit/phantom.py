@@ -117,6 +117,7 @@ def make_random_piecewise(meta: VolumeMeta, n_blobs: int,
     the volume is a pure function of (meta, n_blobs, chi_range, seed).
     """
     require("n_blobs", n_blobs, ge=1, integer=True)
+    require("seed", seed, ge=0, integer=True)
     lo, hi = chi_range
     require("chi_range", lo, hi)
     if not lo < hi:

@@ -20,6 +20,8 @@ from qsmkit.autodiff import (
 from qsmkit.dipole import apply_spectrum, build_dipole
 from qsmkit.errors import InputError, NumericalError
 from qsmkit.gradcheck import F32_TOL, F64_TOL, OPS, _even_spectrum, build_case
+from qsmkit.losses import total_generator_loss
+from qsmkit.network import build_discriminator, build_generator
 from qsmkit.volume import VolumeMeta
 
 
@@ -544,6 +546,57 @@ class TestPatchesOneCopy:
         want = g.reshape(w_shape[0], -1) @ patches_per_offset(xp, kernel, stride, out_dims).T
         assert grad_x is None and grad_w.dtype == want.dtype
         assert grad_w.tobytes() == want.reshape(w_shape).tobytes()
+
+
+class TestConvMemory:
+    """What a conv3d step holds: no padded input on the tape, weight-gradient
+    patch matrices within ``_SLAB_BYTES``, and ``_pad`` equal to ``np.pad``."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_tape_keeps_no_padded_input(self, stride):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(2, 6, 5, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2, 3, 3, 3)), requires_grad=True)
+        out = ad.conv3d(x, w, Tensor(np.zeros(3), requires_grad=True), stride=stride, pad=1)
+        held = [c.cell_contents for c in out._backward.__closure__]
+        assert not any(isinstance(v, np.ndarray) and v.shape == (2, 8, 7, 6) for v in held)
+
+    def test_backward_patch_matrices_fit_the_slab(self, monkeypatch):
+        # one criterion-06 objective (16^3 patches, depth-3 16-channel U-Net,
+        # 3-layer discriminator); its 48->16 weight gradient alone would be a
+        # 21 MB patch matrix built whole
+        meta = VolumeMeta((16, 16, 16), (1.0, 1.0, 1.0), (0.0, 0.0, 1.0))
+        rng = np.random.default_rng(6)
+        chi_b, b_b, mag_b = ([Tensor(rng.normal(size=(1, 16, 16, 16)).astype(np.float32))]
+                             for _ in range(3))
+        mask_b = [Tensor(np.ones((1, 16, 16, 16), dtype=np.float32))]
+        _, total_g, gan_d = total_generator_loss(
+            chi_b, b_b, build_generator(depth=3, base_channels=16, seed=0),
+            build_discriminator(n_layers=3, base_channels=16, seed=1), build_dipole(meta),
+            mag_batch=mag_b, mask_batch=mask_b)
+        built, patches = [], ad._patches
+
+        def recording(*args):
+            p = patches(*args)
+            built.append(p.nbytes)
+            return p
+
+        monkeypatch.setattr(ad, "_patches", recording)
+        backward(total_g)
+        backward(gan_d)
+        assert len(built) >= 38 and max(built) <= ad._SLAB_BYTES
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pads", [(0, 0, 0), (1, 1, 1), (2, 2, 2), (2, 1, 0)],
+                             ids=["0", "1", "2", "k-1-pad"])
+    def test_pad_bytes(self, dtype, pads):
+        # (2, 1, 0) is k - 1 - pad for a (3, 2, 1) kernel at pad 0; the input
+        # is a transposed view, so pad 0 must still return a C-contiguous copy
+        a = np.random.default_rng(1).normal(size=(4, 5, 6, 3)).astype(dtype).transpose(0, 3, 2, 1)
+        got = ad._pad(a, pads)
+        want = np.pad(a, ((0, 0),) + tuple((p, p) for p in pads))
+        assert got.flags.c_contiguous and got.dtype == want.dtype
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestInstanceNormOracle:

@@ -109,6 +109,12 @@ class TestRandomPiecewise:
         with pytest.raises(InputError, match="^chi_range must be finite"):
             make_random_piecewise(META32, 3, chi_range=chi_range)
 
+    @pytest.mark.parametrize("seed", [-1, 0.5, True])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # -1 would reach NumPy's ValueError, 0.5 a TypeError, True seed 1
+        with pytest.raises(InputError, match="^seed must be >= 0 and an integer"):
+            make_random_piecewise(META32, 3, seed=seed)
+
     def test_blob_chi_uniform(self):
         # single-blob phantoms; blob value read off the dominant voxel
         meta = VolumeMeta((16, 16, 16), (1.0, 1.0, 1.0))
