@@ -276,12 +276,8 @@ def spectral_filter(a: Tensor, spectrum: np.ndarray) -> Tensor:
             f"spectrum shape {spectrum.shape} does not match spatial {a.data.shape[1:]}")
     if not np.array_equal(spectrum, k_mirror(spectrum)):
         raise InputError("spectrum is not even under k -> -k")
-    spec = spectrum.astype(a.data.dtype)
-
-    def apply(arr):
-        return apply_spectrum(arr, spec).astype(arr.dtype)
-
-    return _node(apply(a.data), (a,), lambda g: (apply(g),))
+    spec = spectrum.astype(a.data.dtype)  # so the result keeps the data's dtype
+    return _node(apply_spectrum(a.data, spec), (a,), lambda g: (apply_spectrum(g, spec),))
 
 
 def conv3d(x: Tensor, w: Tensor, b: Tensor | None = None,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dipole import DipoleKernel, apply_spectrum
+from .dipole import DipoleKernel, apply_spectrum, half_spectrum_buffer
 from .errors import InputError, NumericalError, require
 from .volume import Mask, RealVolume, forward_diff, forward_diff_adjoint, require_same_grid
 
@@ -89,14 +89,18 @@ def build_medi_weights(magnitude: RealVolume, edge_fraction: float = 0.3) -> Med
     return MediWeights(w=RealVolume(magnitude.meta, w), m=tuple(masks))
 
 
-def _medi_objective(x: np.ndarray, hx: np.ndarray, b: np.ndarray,
-                    w2: np.ndarray, m: tuple, lam: float) -> tuple[float, float, float]:
-    resid = b - hx
-    data = float(np.sum(w2 * resid * resid))
+def _medi_objective(x: np.ndarray, hx: np.ndarray, b: np.ndarray, w2: np.ndarray,
+                    m: tuple, lam: float, s1: np.ndarray,
+                    s2: np.ndarray) -> tuple[float, float, float]:
+    """(objective, data term, regulariser term) at ``x`` with ``hx`` = Hx;
+    ``s1`` and ``s2`` are scratch volumes."""
+    resid = np.subtract(b, hx, out=s1)
+    data = float(np.sum(np.multiply(np.multiply(w2, resid, out=s2), resid, out=s2)))
     reg = 0.0
     for ax in range(3):
-        g = forward_diff(x, ax)
-        reg += float(np.sum(m[ax] * np.sqrt(g * g + SMOOTH_EPS ** 2)))
+        g = forward_diff(x, ax, out=s1)
+        mag = np.sqrt(np.add(np.multiply(g, g, out=s2), SMOOTH_EPS ** 2, out=s2), out=s2)
+        reg += float(np.sum(np.multiply(m[ax], mag, out=s2)))
     return data + lam * reg, data, lam * reg
 
 
@@ -108,6 +112,8 @@ def medi_invert(field: RealVolume, kernel: DipoleKernel, weights: MediWeights,
     differentiable; an Armijo backtracking line search keeps the recorded
     objective trace non-increasing. H is linear, so a trial x - t g reuses Hx
     and Hg. Trace rows are (iteration, objective, data_term, reg_term).
+    Every iterate, trial and term lives in buffers allocated once per solve;
+    an accepted trial swaps with the iterate.
     """
     kernel.require_grid(field.meta)
     require_same_grid(field.meta, "field", weights=weights.w)
@@ -116,33 +122,37 @@ def medi_invert(field: RealVolume, kernel: DipoleKernel, weights: MediWeights,
     w2 = weights.w.data ** 2
     m = tuple(mk.data for mk in weights.m)
     lam = params.lam
+    x, hx, grad, hg, cand, hcand, s1, s2 = (np.zeros_like(b) for _ in range(8))
+    work = half_spectrum_buffer(b.shape)
 
-    x, hx = np.zeros_like(b), np.zeros_like(b)
-    f, data, reg = _medi_objective(x, hx, b, w2, m, lam)
+    f, data, reg = _medi_objective(x, hx, b, w2, m, lam, s1, s2)
     trace = [(0, f, data, reg)]
     f0 = f
     t = params.step
     for it in range(1, params.iters + 1):
-        grad = 2.0 * apply_spectrum(w2 * (hx - b), spec)
+        np.multiply(w2, np.subtract(hx, b, out=s1), out=s1)
+        np.multiply(2.0, apply_spectrum(s1, spec, out=grad, work=work), out=grad)
         for ax in range(3):
-            g = forward_diff(x, ax)
-            psi = m[ax] * g / np.sqrt(g * g + SMOOTH_EPS ** 2)
-            grad += lam * forward_diff_adjoint(psi, ax)
-        gnorm2 = float(np.sum(grad * grad))
+            g = forward_diff(x, ax, out=s1)
+            denom = np.sqrt(np.add(np.multiply(g, g, out=s2), SMOOTH_EPS ** 2, out=s2), out=s2)
+            psi = np.divide(np.multiply(m[ax], g, out=s1), denom, out=s1)
+            grad += np.multiply(lam, forward_diff_adjoint(psi, ax, out=s2), out=s2)
+        gnorm2 = float(np.sum(np.multiply(grad, grad, out=s1)))
         if gnorm2 == 0.0:
             break
-        hg = apply_spectrum(grad, spec)
+        apply_spectrum(grad, spec, out=hg, work=work)
         t = min(t * 2.0, params.step)
         while True:
-            cand, hcand = x - t * grad, hx - t * hg
-            f_new, data_new, reg_new = _medi_objective(cand, hcand, b, w2, m, lam)
+            np.subtract(x, np.multiply(t, grad, out=cand), out=cand)
+            np.subtract(hx, np.multiply(t, hg, out=hcand), out=hcand)
+            f_new, data_new, reg_new = _medi_objective(cand, hcand, b, w2, m, lam, s1, s2)
             if np.isfinite(f_new) and f_new <= f - 1e-4 * t * gnorm2:
+                x, cand, hx, hcand = cand, x, hcand, hx
+                f, data, reg = f_new, data_new, reg_new
                 break
             t *= 0.5
             if t < 1e-20:  # stalled: keep current iterate
-                cand, hcand, f_new, data_new, reg_new = x, hx, f, data, reg
                 break
-        x, hx, f, data, reg = cand, hcand, f_new, data_new, reg_new
         if not np.isfinite(f) or f > 10.0 * f0:
             raise NumericalError(f"objective diverged at iteration {it}: {f:g}")
         trace.append((it, f, data, reg))
@@ -166,35 +176,30 @@ def cg_least_squares(field: RealVolume, kernel: DipoleKernel,
     require_same_grid(field.meta, "field", weights=weights)
     spec = kernel.spectrum
     wd = np.ones(field.meta.dims) if weights is None else weights.data
+    work = half_spectrum_buffer(field.meta.dims)
+    x, r = np.zeros(field.meta.dims), wd * field.data
+    s, q, tmp = (np.empty_like(r) for _ in range(3))
 
-    def a_fwd(v):
-        return wd * apply_spectrum(v, spec)
-
-    def a_adj(v):
-        return apply_spectrum(wd * v, spec)
-
-    x = np.zeros(field.meta.dims)
-    r = wd * field.data
-    s = a_adj(r)
+    apply_spectrum(np.multiply(wd, r, out=tmp), spec, out=s, work=work)  # s = A^T r
     p = s.copy()
-    gamma = float(np.sum(s * s))
+    gamma = float(np.sum(np.multiply(s, s, out=tmp)))
     residuals = [float(np.linalg.norm(r))]
     r0 = residuals[0]
     for _ in range(iters):
-        q = a_fwd(p)
-        qq = float(np.sum(q * q))
+        np.multiply(wd, apply_spectrum(p, spec, out=q, work=work), out=q)  # q = A p
+        qq = float(np.sum(np.multiply(q, q, out=tmp)))
         if qq == 0.0 or gamma == 0.0:
             break
         alpha = gamma / qq
-        x += alpha * p
-        r -= alpha * q
+        x += np.multiply(alpha, p, out=tmp)
+        r -= np.multiply(alpha, q, out=tmp)
         residuals.append(float(np.linalg.norm(r)))
-        s = a_adj(r)
-        gamma_new = float(np.sum(s * s))
+        apply_spectrum(np.multiply(wd, r, out=tmp), spec, out=s, work=work)
+        gamma_new = float(np.sum(np.multiply(s, s, out=tmp)))
         if not np.isfinite(gamma_new):
             raise NumericalError("CGLS produced non-finite iterates")
         if r0 > 0 and residuals[-1] <= tol * r0:
             break
-        p = s + (gamma_new / gamma) * p
+        np.add(s, np.multiply(gamma_new / gamma, p, out=p), out=p)
         gamma = gamma_new
     return RealVolume(field.meta, x), residuals

@@ -10,6 +10,8 @@ field, the naive and TKD inverses, the classical solvers and the autodiff
 ``spectral_filter`` all go through it. A ``DipoleKernel`` only holds a real
 spectrum equal to its own k -> -k mirror, so its product with the transform
 of a real field is Hermitian and a real FFT over the half spectrum suffices.
+The apply runs in one complex half-spectrum buffer, which an iterative solver
+allocates once (``half_spectrum_buffer``) and passes to every call.
 """
 
 from __future__ import annotations
@@ -80,16 +82,36 @@ def build_dipole(meta: VolumeMeta) -> DipoleKernel:
     return DipoleKernel(meta, spec)
 
 
-def apply_spectrum(data: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+def half_spectrum_buffer(shape: tuple) -> np.ndarray:
+    """An uninitialised ``work`` buffer for ``apply_spectrum`` on float64
+    arrays of ``shape``: the last axis keeps its non-negative frequencies."""
+    return np.empty(tuple(shape[:-1]) + (shape[-1] // 2 + 1,), np.complex128)
+
+
+def apply_spectrum(data: np.ndarray, spectrum: np.ndarray, out: np.ndarray | None = None,
+                   work: np.ndarray | None = None) -> np.ndarray:
     """real(ifft(spectrum * fft(data))) over the last three axes, by real FFT.
 
     ``spectrum`` must equal its ``k_mirror`` (every ``DipoleKernel`` does):
     only its half along the last axis is read. Leading axes (channels) share
     the spectrum; the dtype follows NumPy's promotion of data and spectrum.
+
+    The passes are those of ``irfftn(half * rfftn(data))``, in its axis order,
+    run in one complex buffer: ``work`` (from ``half_spectrum_buffer``, of
+    ``rfftn(data)``'s dtype) if given, else a fresh one. The product is formed
+    in place unless promotion widens it (float32 data with a float64
+    spectrum). The result goes to ``out`` if given, which is returned.
     """
-    axes = (-3, -2, -1)
     half = spectrum[..., :data.shape[-1] // 2 + 1]
-    return np.fft.irfftn(half * np.fft.rfftn(data, axes=axes), s=data.shape[-3:], axes=axes)
+    buf = np.fft.rfftn(data, axes=(-3, -2, -1), out=work)
+    if np.result_type(buf, half) == buf.dtype:
+        np.multiply(buf, half, out=buf)
+    else:
+        buf = half * buf
+    # irfftn transforms its complex axes first to last; ifftn runs its axes
+    # last to first, so (-2, -3) keeps that order, and with it the bytes
+    np.fft.ifftn(buf, axes=(-2, -3), out=buf)
+    return np.fft.irfft(buf, n=data.shape[-1], axis=-1, out=out)
 
 
 def forward_field(chi: RealVolume, kernel: DipoleKernel) -> RealVolume:

@@ -116,31 +116,32 @@ def require_same_grid(meta: VolumeMeta, against: str, /, **volumes) -> None:
                              f"must share one grid geometry")
 
 
-def forward_diff(arr: np.ndarray, axis: int) -> np.ndarray:
+def forward_diff(arr: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
     """Forward difference ``arr[i+1] - arr[i]`` along ``axis``, any rank.
 
-    The last slice is 0 (replicate, i.e. Neumann, boundary).
+    The last slice is 0 (replicate, i.e. Neumann, boundary). The result goes
+    to ``out`` if given (it must not overlap ``arr``), which is returned.
     """
-    out = np.zeros_like(arr)
-    head = [slice(None)] * arr.ndim
-    head[axis] = slice(0, arr.shape[axis] - 1)
-    out[tuple(head)] = np.diff(arr, axis=axis)
+    out = np.empty_like(arr) if out is None else out
+    a, o = np.moveaxis(arr, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(a[1:], a[:-1], out=o[:-1])
+    o[-1] = 0
     return out
 
 
-def forward_diff_adjoint(arr: np.ndarray, axis: int) -> np.ndarray:
+def forward_diff_adjoint(arr: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
     """Transpose of ``forward_diff``: ``<forward_diff(u), g> == <u, adjoint(g)>``.
 
     ``out[i] = arr[i-1] - arr[i]``, reading ``arr`` as 0 before its first
-    slice and on its last slice (the one ``forward_diff`` never writes).
+    slice and on its last slice (the one ``forward_diff`` never writes),
+    evaluated as ``(0 - arr[i]) + arr[i-1]``. The result goes to ``out`` if
+    given (it must not overlap ``arr``), which is returned.
     """
-    out = np.zeros_like(arr)
-    body = [slice(None)] * arr.ndim
-    body[axis] = slice(0, arr.shape[axis] - 1)
-    shifted = [slice(None)] * arr.ndim
-    shifted[axis] = slice(1, arr.shape[axis])
-    out[tuple(body)] -= arr[tuple(body)]
-    out[tuple(shifted)] += arr[tuple(body)]
+    out = np.empty_like(arr) if out is None else out
+    a, o = np.moveaxis(arr, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(0, a[:-1], out=o[:-1])
+    o[-1] = 0
+    o[1:] += a[:-1]
     return out
 
 

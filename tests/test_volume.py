@@ -151,6 +151,49 @@ class TestGrad:
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
+# The pair that allocated zeros and filled them through np.diff and two
+# in-place updates, kept verbatim (under new names) as the byte oracles of
+# the out= versions.
+def forward_diff_allocating(arr: np.ndarray, axis: int) -> np.ndarray:
+    out = np.zeros_like(arr)
+    head = [slice(None)] * arr.ndim
+    head[axis] = slice(0, arr.shape[axis] - 1)
+    out[tuple(head)] = np.diff(arr, axis=axis)
+    return out
+
+
+def forward_diff_adjoint_allocating(arr: np.ndarray, axis: int) -> np.ndarray:
+    out = np.zeros_like(arr)
+    body = [slice(None)] * arr.ndim
+    body[axis] = slice(0, arr.shape[axis] - 1)
+    shifted = [slice(None)] * arr.ndim
+    shifted[axis] = slice(1, arr.shape[axis])
+    out[tuple(body)] -= arr[tuple(body)]
+    out[tuple(shifted)] += arr[tuple(body)]
+    return out
+
+
+class TestDiffOut:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(6, 5, 4), (2, 6, 5, 4), (1, 3, 2)])
+    @pytest.mark.parametrize("op, oracle", [(forward_diff, forward_diff_allocating),
+                                            (forward_diff_adjoint,
+                                             forward_diff_adjoint_allocating)],
+                             ids=["diff", "adjoint"])
+    def test_bytes_match_allocating_pair(self, op, oracle, shape, dtype):
+        # signed zeros included: 0 - (+0) and -0 + 0 decide the sign bit
+        arr = np.random.default_rng(len(shape)).standard_normal(shape).astype(dtype)
+        arr.flat[::5] = 0.0
+        arr.flat[::7] = -0.0
+        for axis in range(arr.ndim):
+            want = oracle(arr, axis)
+            out = np.full_like(arr, np.nan)  # every element must be written
+            assert op(arr, axis, out=out) is out
+            got = op(arr, axis)
+            assert got.dtype == out.dtype == want.dtype
+            assert out.tobytes() == got.tobytes() == want.tobytes()
+
+
 class TestDBV1:
     def test_round_trip_values(self, tmp_path):
         v = rand_volume(seed=11)
