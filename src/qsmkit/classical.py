@@ -175,18 +175,24 @@ def cg_least_squares(field: RealVolume, kernel: DipoleKernel,
     require("tol", tol, ge=0)
     require_same_grid(field.meta, "field", weights=weights)
     spec = kernel.spectrum
-    wd = np.ones(field.meta.dims) if weights is None else weights.data
+    wd = None if weights is None else weights.data
+
+    def weigh(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """W v into ``out``; unweighted, ``v`` itself (1.0 * v == v)."""
+        return v if wd is None else np.multiply(wd, v, out=out)
+
     work = half_spectrum_buffer(field.meta.dims)
-    x, r = np.zeros(field.meta.dims), wd * field.data
+    x = np.zeros(field.meta.dims)
+    r = field.data.copy() if wd is None else wd * field.data
     s, q, tmp = (np.empty_like(r) for _ in range(3))
 
-    apply_spectrum(np.multiply(wd, r, out=tmp), spec, out=s, work=work)  # s = A^T r
+    apply_spectrum(weigh(r, tmp), spec, out=s, work=work)  # s = A^T r
     p = s.copy()
     gamma = float(np.sum(np.multiply(s, s, out=tmp)))
     residuals = [float(np.linalg.norm(r))]
     r0 = residuals[0]
     for _ in range(iters):
-        np.multiply(wd, apply_spectrum(p, spec, out=q, work=work), out=q)  # q = A p
+        weigh(apply_spectrum(p, spec, out=q, work=work), q)  # q = A p
         qq = float(np.sum(np.multiply(q, q, out=tmp)))
         if qq == 0.0 or gamma == 0.0:
             break
@@ -194,7 +200,7 @@ def cg_least_squares(field: RealVolume, kernel: DipoleKernel,
         x += np.multiply(alpha, p, out=tmp)
         r -= np.multiply(alpha, q, out=tmp)
         residuals.append(float(np.linalg.norm(r)))
-        apply_spectrum(np.multiply(wd, r, out=tmp), spec, out=s, work=work)
+        apply_spectrum(weigh(r, tmp), spec, out=s, work=work)
         gamma_new = float(np.sum(np.multiply(s, s, out=tmp)))
         if not np.isfinite(gamma_new):
             raise NumericalError("CGLS produced non-finite iterates")

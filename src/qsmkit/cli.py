@@ -32,7 +32,7 @@ from .classical import (
 from .config import read_config_items
 from .dipole import build_dipole, naive_inverse
 from .errors import InputError, NumericalError, QsmError
-from .gradcheck import F32_TOL, F64_TOL, LOSSES, OPS, run_suite
+from .gradcheck import F32_TOL, F64_TOL, FAMILIES, run_suite
 from .losses import LossWeights
 from .metrics import RoiSet, psnr, rmse, roi_means, roi_regression, ssim3
 from .network import (
@@ -452,12 +452,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    families = OPS + LOSSES
     failures = []
     for dtype, tol, name in ((np.float32, F32_TOL, "float32"),
                              (np.float64, F64_TOL, "float64")):
         results = run_suite(dtype, n_cases=args.cases, samples=args.samples,
-                            ops=families, seed=args.seed)
+                            ops=FAMILIES, seed=args.seed)
         for op, err in results.items():
             status = "ok" if err < tol else "FAIL"
             print(f"{name} {op:17s} {err:9.3e} {status}")

@@ -6,12 +6,13 @@ differences against the reverse-mode gradients. Op objectives are weighted
 sums with fixed random weights so that symmetric mistakes (a flipped kernel,
 a transposed axis) cannot cancel out of the readout.
 
-Inputs are sampled away from the kinks of absolute/leaky_relu and away from
-the poles of div/sqrt, so the finite-difference step never crosses a
-non-smooth point. For the same reason the loss cases drive smooth surrogate
-networks (affine generator, linear conv discriminator) instead of the
-leaky-ReLU U-Net; the real networks are covered by the op-level cases plus
-double-precision end-to-end spot checks in the test suite.
+Inputs are sampled away from the kinks of absolute/leaky_relu (also where
+instance_norm applies the leaky ReLU) and away from the poles of div/sqrt,
+so the finite-difference step never crosses a non-smooth point. For the
+same reason the loss cases drive smooth surrogate networks (affine
+generator, linear conv discriminator) instead of the leaky-ReLU U-Net; the
+real networks are covered by the op-level cases plus double-precision
+end-to-end spot checks in the test suite.
 """
 
 from __future__ import annotations
@@ -38,6 +39,12 @@ OPS = (
 )
 
 LOSSES = ("cycle", "lsgan_d", "lsgan_g", "grad_diff", "tv", "dip")
+
+# ops fused for the networks; they come after LOSSES because a family's
+# position in the suite seeds its draws, so older families keep theirs
+FUSED = ("instance_norm_lrelu",)
+
+FAMILIES = OPS + LOSSES + FUSED
 
 
 def _u(rng: np.random.Generator, shape, lo: float, hi: float, dtype) -> np.ndarray:
@@ -146,6 +153,18 @@ def build_case(op: str, rng: np.random.Generator,
         beta = Tensor(_u(rng, (3, 1, 1, 1), -0.5, 0.5, dtype), requires_grad=True)
         wo = _u(rng, (3, 4, 4, 4), -1.0, 1.0, dtype)
         return lambda: _wsum(ad.instance_norm(x, gamma, beta), wo), [x, gamma, beta]
+
+    if op == "instance_norm_lrelu":
+        # each channel holds +m and -m for 32 magnitudes m in [0.4, 1.2], so
+        # |x_hat| >= 1/3 and every pre-activation stays >= 0.06 from the kink
+        m = rng.uniform(0.4, 1.2, size=(3, 32))
+        x = Tensor(rng.permuted(np.concatenate([m, -m], axis=1), axis=1)
+                   .reshape(3, 4, 4, 4).astype(dtype), requires_grad=True)
+        gamma = Tensor(_u(rng, (3, 1, 1, 1), 0.5, 1.5, dtype), requires_grad=True)
+        beta = Tensor(_u(rng, (3, 1, 1, 1), -0.1, 0.1, dtype), requires_grad=True)
+        wo = _u(rng, (3, 4, 4, 4), -1.0, 1.0, dtype)
+        return (lambda: _wsum(ad.instance_norm(x, gamma, beta, slope=0.2), wo),
+                [x, gamma, beta])
 
     if op == "broadcast_affine":
         x = Tensor(_u(rng, shape, -1.0, 1.0, dtype), requires_grad=True)

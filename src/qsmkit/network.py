@@ -144,9 +144,9 @@ def build_discriminator(n_layers: int = 3, base_channels: int = 16,
 
 def _conv_in_lrelu(p: dict[str, Tensor], name: str, x: Tensor,
                    stride: int = 1, pad: int = 1) -> Tensor:
+    """conv3d, then instance_norm with the leaky ReLU in the same tape node."""
     x = ad.conv3d(x, p[f"{name}.w"], p[f"{name}.b"], stride=stride, pad=pad)
-    x = ad.instance_norm(x, p[f"{name}.gamma"], p[f"{name}.beta"])
-    return ad.leaky_relu(x, LEAKY_SLOPE)
+    return ad.instance_norm(x, p[f"{name}.gamma"], p[f"{name}.beta"], slope=LEAKY_SLOPE)
 
 
 def forward_generator(gen: Generator, phase: Tensor, magnitude: Tensor) -> Tensor:

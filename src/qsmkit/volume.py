@@ -116,16 +116,34 @@ def require_same_grid(meta: VolumeMeta, against: str, /, **volumes) -> None:
                              f"must share one grid geometry")
 
 
+def _axis_views(arr: np.ndarray, axis: int, out: np.ndarray | None):
+    """``(out, a, o, a3, o3, step)``: ``out`` (allocated in ``arr``'s order
+    if None), then ``arr`` and ``out`` flat in ``out``'s memory order and as
+    (outer, n, inner) around ``axis``, whose neighbours lie ``step``
+    elements apart when flat."""
+    out = np.empty_like(arr, order="A") if out is None else out
+    if out.shape != arr.shape or not (out.flags.c_contiguous or out.flags.f_contiguous):
+        raise InputError(f"out must be a C- or Fortran-contiguous array of shape {arr.shape}")
+    axis = np.lib.array_utils.normalize_axis_index(axis, arr.ndim)
+    a, o = arr, out
+    if not out.flags.c_contiguous:  # Fortran order (volumes read from DBV1): transposes are C
+        a, o, axis = arr.T, out.T, arr.ndim - 1 - axis
+    n, step = a.shape[axis], int(np.prod(a.shape[axis + 1:]))
+    a, o = np.ravel(a), o.reshape(-1)  # ravel copies only a non-C-contiguous a
+    return out, a, o, a.reshape(-1, n, step), o.reshape(-1, n, step), step
+
+
 def forward_diff(arr: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
     """Forward difference ``arr[i+1] - arr[i]`` along ``axis``, any rank.
 
     The last slice is 0 (replicate, i.e. Neumann, boundary). The result goes
-    to ``out`` if given (it must not overlap ``arr``), which is returned.
+    to ``out`` if given (C- or Fortran-contiguous, not overlapping ``arr``),
+    which is returned. One contiguous pass subtracts the flat array from
+    itself ``step`` elements on, then the last face is rewritten.
     """
-    out = np.empty_like(arr) if out is None else out
-    a, o = np.moveaxis(arr, axis, 0), np.moveaxis(out, axis, 0)
-    np.subtract(a[1:], a[:-1], out=o[:-1])
-    o[-1] = 0
+    out, a, o, _, o3, step = _axis_views(arr, axis, out)
+    np.subtract(a[step:], a[:a.size - step], out=o[:o.size - step])
+    o3[:, -1] = 0
     return out
 
 
@@ -134,14 +152,20 @@ def forward_diff_adjoint(arr: np.ndarray, axis: int, out: np.ndarray | None = No
 
     ``out[i] = arr[i-1] - arr[i]``, reading ``arr`` as 0 before its first
     slice and on its last slice (the one ``forward_diff`` never writes),
-    evaluated as ``(0 - arr[i]) + arr[i-1]``. The result goes to ``out`` if
-    given (it must not overlap ``arr``), which is returned.
+    evaluated as ``(0 - arr[i]) + arr[i-1]``: ``0 - arr[0]`` on the first
+    face and ``0 + arr[n-2]`` on the last. The result goes to ``out`` if
+    given (C- or Fortran-contiguous, not overlapping ``arr``), which is
+    returned. Two contiguous passes cover the interior; then both faces are
+    rewritten.
     """
-    out = np.empty_like(arr) if out is None else out
-    a, o = np.moveaxis(arr, axis, 0), np.moveaxis(out, axis, 0)
-    np.subtract(0, a[:-1], out=o[:-1])
-    o[-1] = 0
-    o[1:] += a[:-1]
+    out, a, o, a3, o3, step = _axis_views(arr, axis, out)
+    np.subtract(0, a, out=o)
+    o[step:] += a[:a.size - step]
+    if a3.shape[1] == 1:
+        o.fill(0)
+    else:
+        np.subtract(0, a3[:, 0], out=o3[:, 0])
+        np.add(0, a3[:, -2], out=o3[:, -1])
     return out
 
 

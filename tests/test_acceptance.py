@@ -30,7 +30,7 @@ from qsmkit.errors import (
     NonFinitePayloadError,
     PayloadSizeError,
 )
-from qsmkit.gradcheck import F32_TOL, F64_TOL, LOSSES, OPS, run_suite
+from qsmkit.gradcheck import F32_TOL, F64_TOL, FAMILIES, run_suite
 from qsmkit.losses import LossWeights, lsgan_losses
 from qsmkit.metrics import RoiSet, psnr, rmse, roi_regression, ssim3
 from qsmkit.network import (
@@ -165,18 +165,17 @@ def test_03_band_limited_recovery(capsys):
 
 def test_04_gradient_integrity(capsys):
     t0 = time.perf_counter()
-    families = OPS + LOSSES
     worst = {}
     fails = []
     for dtype, tol, name in ((np.float32, F32_TOL, "f32"),
                              (np.float64, F64_TOL, "f64")):
-        res = run_suite(dtype, n_cases=20, samples=8, ops=families, seed=0)
+        res = run_suite(dtype, n_cases=20, samples=8, ops=FAMILIES, seed=0)
         worst[name] = max(res.values())
         fails += [f"{name}/{op}" for op, err in res.items() if err >= tol]
     dt = time.perf_counter() - t0
     ok = not fails and dt < 120.0
     report(capsys, 4, ok,
-           f"{len(families)} families x 20 cases, worst f32 "
+           f"{len(FAMILIES)} families x 20 cases, worst f32 "
            f"{worst['f32']:.1e} < {F32_TOL:g}, worst f64 "
            f"{worst['f64']:.1e} < {F64_TOL:g}, "
            f"failures {fails or 'none'}, {dt:.1f}s < 120s")

@@ -2,6 +2,7 @@
 central differences, and the bookkeeping rules (liveness, accumulation,
 finite checks)."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,9 +20,15 @@ from qsmkit.autodiff import (
 )
 from qsmkit.dipole import apply_spectrum, build_dipole
 from qsmkit.errors import InputError, NumericalError
-from qsmkit.gradcheck import F32_TOL, F64_TOL, OPS, _even_spectrum, build_case
+from qsmkit.gradcheck import F32_TOL, F64_TOL, FAMILIES, FUSED, OPS, _even_spectrum, build_case
 from qsmkit.losses import total_generator_loss
-from qsmkit.network import build_discriminator, build_generator
+from qsmkit.network import (
+    LEAKY_SLOPE,
+    build_discriminator,
+    build_generator,
+    forward_discriminator,
+    forward_generator,
+)
 from qsmkit.volume import VolumeMeta
 
 
@@ -642,6 +649,127 @@ class TestInstanceNormOracle:
                 ad.instance_norm(x, ones, zeros)
 
 
+# every instance_norm shape of the criterion-06 networks on 16^3 patches:
+# the generator's three levels, then the discriminator's three layers
+NORM_SHAPES = [(16, 16, 16, 16), (32, 8, 8, 8), (64, 4, 4, 4),
+               (16, 8, 8, 8), (32, 4, 4, 4), (64, 2, 2, 2)]
+
+
+def norm_leaves(shape, dtype):
+    """x, gamma and beta with a zero-variance channel (0) and an integer
+    channel (1) whose mean is exactly 0 and which holds a 0; beta is 0 on
+    both, so each has pre-activations that are exactly 0."""
+    rng = np.random.default_rng(shape[0] + shape[1])
+    x = rng.normal(0.3, 1.5, size=shape)
+    x[0] = 4.0
+    x[1] = rng.integers(-3, 4, size=shape[1:])
+    x[1].flat[1] = 0.0
+    x[1].flat[0] -= x[1].sum()
+    gamma = rng.uniform(0.5, 1.5, size=(shape[0], 1, 1, 1))
+    beta = rng.uniform(-0.5, 0.5, size=(shape[0], 1, 1, 1))
+    beta[:2] = 0.0
+    return [Tensor(a, requires_grad=True, dtype=dtype) for a in (x, gamma, beta)]
+
+
+class TestFusedNormLeakyRelu:
+    """``instance_norm(..., slope=...)`` against the unfused pair
+    ``leaky_relu(instance_norm(...))``: the output and all three gradients
+    byte for byte, and a tape that keeps no copy of the activation."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", NORM_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_bytes_match_unfused_pair(self, shape, dtype):
+        g = np.random.default_rng(3).normal(size=shape).astype(dtype)
+        results = []
+        for fused in (True, False):
+            leaves = norm_leaves(shape, dtype)
+            if fused:
+                out = ad.instance_norm(*leaves, slope=LEAKY_SLOPE)
+            else:
+                pre = ad.instance_norm(*leaves)
+                assert np.count_nonzero(pre.data[:2] == 0) > pre.data[0].size
+                out = ad.leaky_relu(pre, LEAKY_SLOPE)
+            backward(ad.tsum(ad.mul(out, Tensor(g))))
+            results.append([out.data] + [t.grad for t in leaves])
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_factor_matches_where(self, dtype):
+        # the factor leaky_relu built before: np.where in float64, then cast
+        positive = np.random.default_rng(6).normal(size=1000) > 0
+        for slope in (0.0, 1e-30, 0.01, 0.2, 0.3, 0.5, 0.7, np.nextafter(1.0, 0.0)):
+            want = np.where(positive, 1.0, slope).astype(dtype)
+            got = ad._leaky_factor(positive, slope, np.dtype(dtype))
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for slope in (-0.1, 1.0, np.nan):
+            with pytest.raises(InputError, match="slope"):
+                ad._leaky_factor(positive, slope, np.dtype(dtype))
+
+    @staticmethod
+    def closure_arrays(node):
+        return [c.cell_contents for c in node._backward.__closure__
+                if isinstance(c.cell_contents, np.ndarray)]
+
+    @pytest.mark.parametrize("slope", [None, LEAKY_SLOPE])
+    def test_closure_keeps_only_its_output(self, slope):
+        x, gamma, beta = norm_leaves(NORM_SHAPES[1], np.float32)
+        out = ad.instance_norm(x, gamma, beta, slope=slope)
+        big = [a for a in self.closure_arrays(out) if a.size >= x.data.size]
+        assert len(big) == 1 and big[0] is out.data
+
+    def test_leaky_relu_keeps_only_its_output(self):
+        a = Tensor(np.random.default_rng(4).normal(size=(2, 3, 4, 5)), requires_grad=True)
+        out = ad.leaky_relu(a, LEAKY_SLOPE)
+        assert [id(c) for c in self.closure_arrays(out)] == [id(out.data)]
+
+    def test_network_tapes(self):
+        # every norm node of both networks is fused and keeps only its output
+        gen = build_generator(depth=3, base_channels=8, seed=0)
+        disc = build_discriminator(n_layers=3, base_channels=8, seed=1)
+        x = Tensor(np.random.default_rng(5).normal(size=(1, 16, 16, 16)).astype(np.float32))
+        score = forward_discriminator(disc, forward_generator(gen, x, x))
+        kinds = {}
+        for node in ad._topo(score):
+            if node._backward is None:
+                continue
+            kind = node._backward.__qualname__.split(".")[0]
+            kinds[kind] = kinds.get(kind, 0) + 1
+            if kind == "instance_norm":
+                big = [a for a in self.closure_arrays(node) if a.size >= node.data.size]
+                assert len(big) == 1 and big[0] is node.data
+        assert kinds["instance_norm"] == 12 + 3 and "leaky_relu" not in kinds
+
+
+class TestTapeMemory:
+    """The tape of one criterion-06 objective (16^3 patches, batch 1) in
+    tracemalloc: 18.85 MB while each norm kept x_hat and each leaky ReLU its
+    factor, 9.90 MB with the fused node. The bound leaves about 1 MB, less
+    than one kind of activation-sized array kept per node."""
+
+    def test_objective_tape_bound(self):
+        meta = VolumeMeta((16, 16, 16), (1.0, 1.0, 1.0), (0, 0, 1))
+        kernel = build_dipole(meta)
+        gen = build_generator(depth=3, base_channels=16, seed=0)
+        disc = build_discriminator(n_layers=3, base_channels=16, seed=1)
+        rng = np.random.default_rng(0)
+        chi, b = ([Tensor(rng.uniform(-0.1, 0.1, (1,) + meta.dims).astype(np.float32))]
+                  for _ in range(2))
+        mag = [Tensor(np.ones((1,) + meta.dims, dtype=np.float32))]
+
+        def objective():
+            return total_generator_loss(chi, b, gen, disc, kernel, mag_batch=mag)
+
+        objective()  # FFT plans are built once
+        tracemalloc.start()
+        try:
+            _, total, gan_d = objective()
+            tape = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert tape <= 11.0e6, f"tape {tape / 1e6:.2f} MB"
+
+
 class TestOpValues:
     def test_nn_upsample_is_block_replication(self):
         rng = np.random.default_rng(1)
@@ -793,21 +921,21 @@ class TestGradientSuite:
     """The same per-op case families the acceptance gate runs, at a reduced
     case count so the unit suite stays fast."""
 
-    @pytest.mark.parametrize("op", OPS)
+    @pytest.mark.parametrize("op", OPS + FUSED)
     def test_single_precision(self, op):
         worst = 0.0
         for case in range(5):
-            rng = np.random.default_rng([OPS.index(op), case])
+            rng = np.random.default_rng([FAMILIES.index(op), case])
             f, tensors = build_case(op, rng, np.float32)
             worst = max(worst, check_gradients(
                 f, tensors, rng=np.random.default_rng(case), samples=8))
         assert worst < F32_TOL, f"{op}: worst rel error {worst:.3e}"
 
-    @pytest.mark.parametrize("op", OPS)
+    @pytest.mark.parametrize("op", OPS + FUSED)
     def test_double_precision(self, op):
         worst = 0.0
         for case in range(5):
-            rng = np.random.default_rng([OPS.index(op), case])
+            rng = np.random.default_rng([FAMILIES.index(op), case])
             f, tensors = build_case(op, rng, np.float64)
             worst = max(worst, check_gradients(
                 f, tensors, rng=np.random.default_rng(case), samples=8))

@@ -262,6 +262,7 @@ class TestSolverMemory:
     """A solve allocates its buffers once. Its tracemalloc peak at 32^3, in
     volumes, was 13.5 for the allocating MEDI and 9.2 for the allocating
     weighted CGLS, and is 11.25 and 8.2 in place, at 5 and at 40 iterations.
+    Unweighted CGLS read 9.2 while a ones volume stood in for its weights.
     Each bound leaves under one volume of room above the in-place figure, so
     one more volume held through a solve fails it."""
 
@@ -292,6 +293,14 @@ class TestSolverMemory:
         peak = self.peak_volumes(
             lambda: cg_least_squares(field, kern, weights=weights.w, iters=iters),
             field.data.nbytes)
+        assert peak <= 8.7
+
+    @pytest.mark.parametrize("iters", [5, 40])
+    def test_cgls_unweighted_peak(self, iters):
+        # no ones volume stands in for the weights
+        field, kern, _ = noisy_case(self.META32)
+        peak = self.peak_volumes(lambda: cg_least_squares(field, kern, iters=iters),
+                                 field.data.nbytes)
         assert peak <= 8.7
 
 

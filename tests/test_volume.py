@@ -193,6 +193,32 @@ class TestDiffOut:
             assert got.dtype == out.dtype == want.dtype
             assert out.tobytes() == got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("op, oracle", [(forward_diff, forward_diff_allocating),
+                                            (forward_diff_adjoint,
+                                             forward_diff_adjoint_allocating)],
+                             ids=["diff", "adjoint"])
+    def test_any_layout(self, op, oracle):
+        # a strided input, and Fortran order (volumes read from DBV1) for
+        # the input, the output or both
+        base = np.random.default_rng(5).standard_normal((4, 6, 5))
+        inputs = [base[::2, :, ::-1].transpose(2, 0, 1), base, np.asfortranarray(base)]
+        for arr in inputs:
+            for axis in range(arr.ndim):
+                want = oracle(arr, axis)
+                got = op(arr, axis)
+                assert got.flags.f_contiguous == arr.flags.f_contiguous
+                out = np.asfortranarray(np.full_like(want, np.nan))
+                assert op(arr, axis, out=out) is out
+                assert want.tobytes() == got.tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize("op", [forward_diff, forward_diff_adjoint], ids=["diff", "adjoint"])
+    def test_out_must_be_contiguous_and_same_shape(self, op):
+        arr = np.zeros((4, 5, 6))
+        for out in (np.zeros((4, 5, 7))[..., :6], np.zeros((4, 6, 5)),
+                    np.zeros((5, 6, 4)).transpose(2, 0, 1)):
+            with pytest.raises(InputError, match="contiguous"):
+                op(arr, 0, out=out)
+
 
 class TestDBV1:
     def test_round_trip_values(self, tmp_path):
