@@ -2,6 +2,9 @@
 
 All three consume a demodulated field volume plus a precomputed kernel and
 return susceptibility estimates; none of them touch the learned machinery.
+MEDI and CGLS allocate their work volumes once per solve, update them in
+place, and release them before the result volume is built; MEDI's edge
+masks are held as booleans, an eighth of a float64 volume each.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import numpy as np
 
 from .dipole import DipoleKernel, apply_spectrum, half_spectrum_buffer
 from .errors import InputError, NumericalError, require
-from .volume import Mask, RealVolume, forward_diff, forward_diff_adjoint, require_same_grid
+from .volume import RealVolume, forward_diff, forward_diff_adjoint, require_same_grid
 
 log = logging.getLogger(__name__)
 
@@ -43,10 +46,36 @@ class MediParams:
 @dataclass(frozen=True)
 class MediWeights:
     """Data weighting W (mean 1 over the magnitude support) and per-axis
-    gradient masks M that release the strongest magnitude edges."""
+    gradient masks M that release the strongest magnitude edges.
+
+    Each mask is given as a ``Mask`` or an array of exact 0s and 1s on W's
+    grid, and is held as a read-only boolean array; anything else is an
+    input error. NumPy casts True and False to exactly 1.0 and 0.0, so M
+    times a float64 volume has the bytes a float64 mask gives, and W with
+    its masks holds 1.375 volumes.
+    """
 
     w: RealVolume
-    m: tuple[Mask, Mask, Mask]
+    m: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    def __post_init__(self) -> None:
+        if len(self.m) != 3:
+            raise InputError(f"MEDI needs one edge mask per axis, got {len(self.m)}")
+        held = []
+        for ax, mk in enumerate(self.m):
+            if isinstance(mk, RealVolume):
+                require_same_grid(self.w.meta, "W", **{f"edge mask {ax}": mk})
+                mk = mk.data
+            arr = np.asarray(mk)
+            if arr.shape != self.w.meta.dims:
+                raise InputError(f"edge mask {ax} has shape {arr.shape}, "
+                                 f"W has dims {self.w.meta.dims}")
+            if not np.all((arr == 0) | (arr == 1)):
+                raise InputError(f"edge mask {ax} voxels must be exactly 0 or 1")
+            arr = np.array(arr, dtype=bool)
+            arr.setflags(write=False)
+            held.append(arr)
+        object.__setattr__(self, "m", tuple(held))
 
 
 def tkd_invert(field: RealVolume, kernel: DipoleKernel,
@@ -85,7 +114,7 @@ def build_medi_weights(magnitude: RealVolume, edge_fraction: float = 0.3) -> Med
         thr = np.quantile(g, 1.0 - edge_fraction)
         if thr == 0.0 and g.max() == 0.0:
             log.warning("constant magnitude along axis %d: edge mask is all ones", ax)
-        masks.append(Mask(magnitude.meta, (g <= thr).astype(np.float64)))
+        masks.append(g <= thr)
     return MediWeights(w=RealVolume(magnitude.meta, w), m=tuple(masks))
 
 
@@ -93,7 +122,7 @@ def _medi_objective(x: np.ndarray, hx: np.ndarray, b: np.ndarray, w2: np.ndarray
                     m: tuple, lam: float, s1: np.ndarray,
                     s2: np.ndarray) -> tuple[float, float, float]:
     """(objective, data term, regulariser term) at ``x`` with ``hx`` = Hx;
-    ``s1`` and ``s2`` are scratch volumes."""
+    ``s1`` and ``s2`` are scratch volumes, and ``hx`` may be ``s1``."""
     resid = np.subtract(b, hx, out=s1)
     data = float(np.sum(np.multiply(np.multiply(w2, resid, out=s2), resid, out=s2)))
     reg = 0.0
@@ -112,17 +141,25 @@ def medi_invert(field: RealVolume, kernel: DipoleKernel, weights: MediWeights,
     differentiable; an Armijo backtracking line search keeps the recorded
     objective trace non-increasing. H is linear, so a trial x - t g reuses Hx
     and Hg. Trace rows are (iteration, objective, data_term, reg_term).
-    Every iterate, trial and term lives in buffers allocated once per solve;
-    an accepted trial swaps with the iterate.
+    Seven work volumes are allocated once per solve: the iterate, Hx, the
+    gradient, Hg, the trial and two scratch volumes. A trial's Hx - t Hg is
+    formed in scratch; an accepted trial swaps with the iterate and updates
+    Hx in place by the same two operations. The work volumes are freed
+    before the result volume is built.
     """
     kernel.require_grid(field.meta)
     require_same_grid(field.meta, "field", weights=weights.w)
-    b = field.data
-    spec = kernel.spectrum
+    x, trace = _medi_solve(field.data, kernel.spectrum, weights, params)
+    return RealVolume(field.meta, x), trace
+
+
+def _medi_solve(b: np.ndarray, spec: np.ndarray, weights: MediWeights,
+                params: MediParams) -> tuple[np.ndarray, list[tuple]]:
+    """medi_invert's iteration on bare arrays: (iterate, trace)."""
     w2 = weights.w.data ** 2
-    m = tuple(mk.data for mk in weights.m)
+    m = weights.m
     lam = params.lam
-    x, hx, grad, hg, cand, hcand, s1, s2 = (np.zeros_like(b) for _ in range(8))
+    x, hx, grad, hg, cand, s1, s2 = (np.zeros_like(b) for _ in range(7))
     work = half_spectrum_buffer(b.shape)
 
     f, data, reg = _medi_objective(x, hx, b, w2, m, lam, s1, s2)
@@ -144,10 +181,12 @@ def medi_invert(field: RealVolume, kernel: DipoleKernel, weights: MediWeights,
         t = min(t * 2.0, params.step)
         while True:
             np.subtract(x, np.multiply(t, grad, out=cand), out=cand)
-            np.subtract(hx, np.multiply(t, hg, out=hcand), out=hcand)
+            # the trial's Hx in s1, read before the objective overwrites it
+            hcand = np.subtract(hx, np.multiply(t, hg, out=s1), out=s1)
             f_new, data_new, reg_new = _medi_objective(cand, hcand, b, w2, m, lam, s1, s2)
             if np.isfinite(f_new) and f_new <= f - 1e-4 * t * gnorm2:
-                x, cand, hx, hcand = cand, x, hcand, hx
+                x, cand = cand, x
+                np.subtract(hx, np.multiply(t, hg, out=s1), out=hx)
                 f, data, reg = f_new, data_new, reg_new
                 break
             t *= 0.5
@@ -158,7 +197,7 @@ def medi_invert(field: RealVolume, kernel: DipoleKernel, weights: MediWeights,
         trace.append((it, f, data, reg))
         if t < 1e-20:
             break
-    return RealVolume(field.meta, x), trace
+    return x, trace
 
 
 def cg_least_squares(field: RealVolume, kernel: DipoleKernel,
@@ -174,16 +213,22 @@ def cg_least_squares(field: RealVolume, kernel: DipoleKernel,
     require("iters", iters, ge=1, integer=True)
     require("tol", tol, ge=0)
     require_same_grid(field.meta, "field", weights=weights)
-    spec = kernel.spectrum
     wd = None if weights is None else weights.data
+    x, residuals = _cgls_solve(field.data, kernel.spectrum, wd, iters, tol)
+    return RealVolume(field.meta, x), residuals
+
+
+def _cgls_solve(b: np.ndarray, spec: np.ndarray, wd: np.ndarray | None, iters: int,
+                tol: float) -> tuple[np.ndarray, list[float]]:
+    """cg_least_squares' iteration on bare arrays: (iterate, residuals)."""
 
     def weigh(v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """W v into ``out``; unweighted, ``v`` itself (1.0 * v == v)."""
         return v if wd is None else np.multiply(wd, v, out=out)
 
-    work = half_spectrum_buffer(field.meta.dims)
-    x = np.zeros(field.meta.dims)
-    r = field.data.copy() if wd is None else wd * field.data
+    work = half_spectrum_buffer(b.shape)
+    x = np.zeros(b.shape)
+    r = b.copy() if wd is None else wd * b
     s, q, tmp = (np.empty_like(r) for _ in range(3))
 
     apply_spectrum(weigh(r, tmp), spec, out=s, work=work)  # s = A^T r
@@ -208,4 +253,4 @@ def cg_least_squares(field: RealVolume, kernel: DipoleKernel,
             break
         np.add(s, np.multiply(gamma_new / gamma, p, out=p), out=p)
         gamma = gamma_new
-    return RealVolume(field.meta, x), residuals
+    return x, residuals

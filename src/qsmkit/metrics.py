@@ -86,13 +86,19 @@ def psnr(truth: RealVolume, recon: RealVolume, mask: Mask | None = None,
 
 def _box_sums(a: np.ndarray, w: int) -> np.ndarray:
     """Exact sums over every fully-contained w^3 window (valid positions),
-    via padded cumulative sums along each axis in turn."""
+    via cumulative sums along each axis in turn. Each is written after a
+    zero first face into one buffer, sized for the longest of the three."""
     out = np.asarray(a, dtype=np.float64)
+    buf = np.empty(out.size + out.size // min(out.shape))
     for ax in range(3):
-        cs = np.cumsum(out, axis=ax)
-        pad = np.zeros_like(np.take(cs, [0], axis=ax))
-        cs = np.concatenate([pad, cs], axis=ax)
         n = out.shape[ax]
+        shape = out.shape[:ax] + (n + 1,) + out.shape[ax + 1:]
+        cs = buf[:math.prod(shape)].reshape(shape)
+        face = [slice(None)] * 3
+        face[ax] = 0
+        cs[tuple(face)] = 0.0
+        face[ax] = slice(1, None)
+        np.cumsum(out, axis=ax, out=cs[tuple(face)])
         hi = [slice(None)] * 3
         lo = [slice(None)] * 3
         hi[ax] = slice(w, n + 1)

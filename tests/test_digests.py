@@ -1,6 +1,7 @@
 """Seeded outputs hashed against a committed table: a change that moves the
-bits of a training step, a MEDI or CGLS solve or stitched inference fails
-here, even when it moves them the same way on every run.
+bits of a training step, a MEDI or CGLS solve, stitched inference, a few
+deep-prior iterations or the gradient audit's report fails here, even when
+it moves them the same way on every run.
 
 The bits depend on the environment (NumPy, the BLAS build, the CPU features
 NumPy found and the BLAS thread count), so the table is keyed by an
@@ -17,10 +18,17 @@ import numpy as np
 import pytest
 
 from qsmkit.classical import MediParams, build_medi_weights, cg_least_squares, medi_invert
+from qsmkit.cli import main
 from qsmkit.dipole import build_dipole
 from qsmkit.network import build_discriminator, build_generator
 from qsmkit.phantom import make_random_piecewise, simulate_case
-from qsmkit.training import TrainConfig, UnpairedDataset, infer_stitched, train_cycleqsm
+from qsmkit.training import (
+    TrainConfig,
+    UnpairedDataset,
+    infer_stitched,
+    optimize_dip,
+    train_cycleqsm,
+)
 from qsmkit.volume import Mask, RealVolume, VolumeMeta
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -44,6 +52,7 @@ TABLE = {
         "train_rows": "dda51de23af8493f", "train_gen": "c5bd660558d77c56",
         "train_disc": "3fc3010aa2455ad6", "medi": "d13eed23bd83cf06",
         "cgls": "630c65afd43ba18c", "infer": "8bf17667d4fe3123",
+        "dip": "7881ad14686421fc", "gradcheck": "3987ee4189a5e38c",
     },
 }
 
@@ -109,3 +118,20 @@ def test_infer_stitched():
     gen = build_generator(depth=3, base_channels=8, seed=2)
     out = infer_stitched(gen, case.field, case.magnitude, mask, TrainConfig(patch_size=8))
     check({"infer": sha(out.data)})
+
+
+def test_dip_iterations():
+    """Four deep-prior iterations on 16^3: the best iterate and the trace."""
+    meta = iso(16)
+    kernel = build_dipole(meta)
+    chi = make_random_piecewise(meta, 4, seed=8)
+    mask = Mask(meta, (chi.data != 0).astype(float))
+    case = simulate_case(chi, mask, 0.002, 8, kernel)
+    out, trace = optimize_dip(case.field, case.magnitude, mask, kernel, iters=4, seed=4)
+    check({"dip": sha(out.data, np.array(trace))})
+
+
+def test_gradcheck_stdout(capsys):
+    """The report of ``qsmkit gradcheck --cases 1 --seed 7``."""
+    assert main(["gradcheck", "--cases", "1", "--seed", "7"]) == 0
+    check({"gradcheck": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]})
