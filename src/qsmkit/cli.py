@@ -143,9 +143,11 @@ def _phantom_spec(path: str) -> PhantomSpec:
 
 def cmd_phantom(args) -> int:
     spec = _phantom_spec(args.spec)
-    write_volume(make_phantom(spec), args.out)
-    if args.mask_out:
-        write_volume(shape_coverage(spec), args.mask_out)
+    chi = make_phantom(spec)
+    mask = shape_coverage(spec) if args.mask_out else None  # build both, then write
+    write_volume(chi, args.out)
+    if mask is not None:
+        write_volume(mask, args.mask_out)
     return 0
 
 

@@ -45,13 +45,18 @@ class PhantomSpec:
 
 @dataclass(frozen=True)
 class SimulatedCase:
-    """One synthetic acquisition: ground truth, noisy field, magnitude, mask."""
+    """One synthetic acquisition: ground truth, noisy field, magnitude, mask,
+    all on the field's grid."""
 
     chi: RealVolume
     field: RealVolume
     magnitude: RealVolume
     mask: Mask
     noise_sigma: float = 0.0
+
+    def __post_init__(self) -> None:
+        require_same_grid(self.field.meta, "field", chi=self.chi, mask=self.mask,
+                          magnitude=self.magnitude)
 
 
 def _centers(meta: VolumeMeta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -144,7 +149,6 @@ def simulate_case(chi: RealVolume, mask: Mask, noise_sigma: float = 0.0,
     Magnitude is the mask indicator: featureless but structurally honest for
     synthetic data.
     """
-    require_same_grid(chi.meta, "chi", mask=mask)
     require("noise_sigma", noise_sigma, ge=0)
     require("seed", seed, ge=0, integer=True)
     if kernel is None:
@@ -157,7 +161,7 @@ def simulate_case(chi: RealVolume, mask: Mask, noise_sigma: float = 0.0,
     return SimulatedCase(
         chi=chi,
         field=RealVolume(chi.meta, data),
-        magnitude=RealVolume(chi.meta, mask.data.copy()),
+        magnitude=RealVolume(mask.meta, mask.data),
         mask=mask,
         noise_sigma=float(noise_sigma),
     )

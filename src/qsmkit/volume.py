@@ -1,10 +1,10 @@
 """3D volume containers, the one grid-equality check, the forward-difference
 operator pair, DBV1 file I/O and the framing it shares with DBC1 checkpoints.
 
-Arrays are indexed ``[x, y, z]`` with shape ``(nx, ny, nz)``. The serialized
-layout is x-fastest (a Fortran-order ravel of that indexing), so voxel
-``(x, y, z)`` sits at flat offset ``x + nx*(y + ny*z)``. Physics paths run in
-float64 throughout; files store float32.
+Arrays are indexed ``[x, y, z]`` with shape ``(nx, ny, nz)``. Every volume is
+C-ordered in memory (``RealVolume`` converts it); a file stays x-fastest on
+disk (a Fortran-order ravel of that indexing), so voxel ``(x, y, z)`` sits at
+flat offset ``x + nx*(y + ny*z)``. Physics runs in float64; files store f32.
 
 ``forward_diff`` and its adjoint are the package's only finite differences:
 the MEDI weights and regularizer and the autodiff ``shift_diff`` (TV and
@@ -75,13 +75,13 @@ class VolumeMeta:
 
 @dataclass(frozen=True)
 class RealVolume:
-    """Immutable float64 scalar field on the grid described by ``meta``."""
+    """Immutable float64 scalar field on the grid ``meta``, copied to C order."""
 
     meta: VolumeMeta
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.data, dtype=np.float64)
+        arr = np.array(self.data, dtype=np.float64, order="C")
         if arr.shape != self.meta.dims:
             raise InputError(f"data shape {arr.shape} does not match dims {self.meta.dims}")
         if not np.all(np.isfinite(arr)):
@@ -117,29 +117,25 @@ def require_same_grid(meta: VolumeMeta, against: str, /, **volumes) -> None:
 
 
 def _axis_views(arr: np.ndarray, axis: int, out: np.ndarray | None):
-    """``(out, a, o, a3, o3, step)``: ``out`` (allocated in ``arr``'s order
-    if None), then ``arr`` and ``out`` flat in ``out``'s memory order and as
-    (outer, n, inner) around ``axis``, whose neighbours lie ``step``
-    elements apart when flat."""
-    out = np.empty_like(arr, order="A") if out is None else out
-    if out.shape != arr.shape or not (out.flags.c_contiguous or out.flags.f_contiguous):
-        raise InputError(f"out must be a C- or Fortran-contiguous array of shape {arr.shape}")
+    """``(out, a, o, a3, o3, step)``: ``out`` (C-contiguous, allocated if
+    None), then ``arr`` and ``out`` flat in C order and as (outer, n, inner)
+    around ``axis``, whose neighbours lie ``step`` elements apart when flat."""
+    out = np.empty_like(arr, order="C") if out is None else out
+    if out.shape != arr.shape or not out.flags.c_contiguous:
+        raise InputError(f"out must be a C-contiguous array of shape {arr.shape}")
     axis = np.lib.array_utils.normalize_axis_index(axis, arr.ndim)
-    a, o = arr, out
-    if not out.flags.c_contiguous:  # Fortran order (volumes read from DBV1): transposes are C
-        a, o, axis = arr.T, out.T, arr.ndim - 1 - axis
-    n, step = a.shape[axis], int(np.prod(a.shape[axis + 1:]))
-    a, o = np.ravel(a), o.reshape(-1)  # ravel copies only a non-C-contiguous a
+    n, step = arr.shape[axis], int(np.prod(arr.shape[axis + 1:]))
+    a, o = np.ravel(arr), out.reshape(-1)  # ravel copies only a non-C-contiguous arr
     return out, a, o, a.reshape(-1, n, step), o.reshape(-1, n, step), step
 
 
 def forward_diff(arr: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
     """Forward difference ``arr[i+1] - arr[i]`` along ``axis``, any rank.
 
-    The last slice is 0 (replicate, i.e. Neumann, boundary). The result goes
-    to ``out`` if given (C- or Fortran-contiguous, not overlapping ``arr``),
-    which is returned. One contiguous pass subtracts the flat array from
-    itself ``step`` elements on, then the last face is rewritten.
+    The last slice is 0 (replicate, i.e. Neumann, boundary). ``arr`` may have
+    any layout; the result goes to ``out`` if given (C-contiguous, not
+    overlapping ``arr``), which is returned. One contiguous pass subtracts the
+    flat array from itself ``step`` elements on; the last face is rewritten.
     """
     out, a, o, _, o3, step = _axis_views(arr, axis, out)
     np.subtract(a[step:], a[:a.size - step], out=o[:o.size - step])
@@ -153,10 +149,10 @@ def forward_diff_adjoint(arr: np.ndarray, axis: int, out: np.ndarray | None = No
     ``out[i] = arr[i-1] - arr[i]``, reading ``arr`` as 0 before its first
     slice and on its last slice (the one ``forward_diff`` never writes),
     evaluated as ``(0 - arr[i]) + arr[i-1]``: ``0 - arr[0]`` on the first
-    face and ``0 + arr[n-2]`` on the last. The result goes to ``out`` if
-    given (C- or Fortran-contiguous, not overlapping ``arr``), which is
-    returned. Two contiguous passes cover the interior; then both faces are
-    rewritten.
+    face and ``0 + arr[n-2]`` on the last. ``arr`` may have any layout; the
+    result goes to ``out`` if given (C-contiguous, not overlapping ``arr``),
+    which is returned. Two contiguous passes cover the interior; then both
+    faces are rewritten.
     """
     out, a, o, a3, o3, step = _axis_views(arr, axis, out)
     np.subtract(0, a, out=o)
@@ -176,7 +172,7 @@ def write_framed(path: str | Path, header: dict, blocks) -> None:
         fh.write(json.dumps(header).encode("utf-8"))
         fh.write(b"\n")
         for block in blocks:
-            fh.write(np.asarray(block, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(block, dtype="<f4"))
 
 
 def read_framed(path: str | Path, magic: str, fields, parse):
@@ -201,11 +197,10 @@ def read_framed(path: str | Path, magic: str, fields, parse):
         if key not in header:
             raise MalformedHeaderError(f"{path}: header missing field {key!r}")
     obj, count = parse(header)
-    payload = raw[nl + 1:]
-    if len(payload) != count * 4:
+    if len(raw) - nl - 1 != count * 4:
         raise PayloadSizeError(
-            f"{path}: payload is {len(payload)} bytes, header implies {count * 4}")
-    flat = np.frombuffer(payload, dtype="<f4")
+            f"{path}: payload is {len(raw) - nl - 1} bytes, header implies {count * 4}")
+    flat = np.frombuffer(raw, dtype="<f4", offset=nl + 1)
     if not np.all(np.isfinite(flat)):
         raise NonFinitePayloadError(f"{path}: payload contains non-finite values")
     return obj, flat
@@ -220,12 +215,8 @@ def write_volume(v: RealVolume, path: str | Path) -> None:
                  [v.data.T])  # C order of the transpose is x-fastest
 
 
-def read_volume(path: str | Path) -> RealVolume:
-    """Parse a DBV1 file.
-
-    Raises MalformedHeaderError, PayloadSizeError, or NonFinitePayloadError
-    for the three documented failure classes.
-    """
+def _read_dbv1(path: str | Path, cls: type[RealVolume]) -> RealVolume:
+    """Parse a DBV1 file into ``cls``, which converts the payload in one copy."""
     def parse(header: dict) -> tuple[VolumeMeta, int]:
         if header["dtype"] != "f32":
             raise MalformedHeaderError(f"{path}: unsupported dtype {header['dtype']!r}")
@@ -238,9 +229,17 @@ def read_volume(path: str | Path) -> RealVolume:
 
     meta, flat = read_framed(path, DBV1_MAGIC,
                              ("dims", "voxel_size_mm", "b0_dir", "dtype"), parse)
-    return RealVolume(meta, flat.astype(np.float64).reshape(meta.dims, order="F"))
+    return cls(meta, flat.reshape(meta.dims, order="F"))  # the x-fastest file as a view
+
+
+def read_volume(path: str | Path) -> RealVolume:
+    """Parse a DBV1 file.
+
+    Raises MalformedHeaderError, PayloadSizeError, or NonFinitePayloadError
+    for the three documented failure classes.
+    """
+    return _read_dbv1(path, RealVolume)
 
 
 def read_mask(path: str | Path) -> Mask:
-    v = read_volume(path)
-    return Mask(v.meta, v.data)
+    return _read_dbv1(path, Mask)

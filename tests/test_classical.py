@@ -24,7 +24,9 @@ from qsmkit.volume import (
     VolumeMeta,
     forward_diff,
     forward_diff_adjoint,
+    read_volume,
     require_same_grid,
+    write_volume,
 )
 
 META = VolumeMeta((16, 16, 16), (1.0, 1.0, 1.0), (0, 0, 1))
@@ -258,6 +260,21 @@ class TestInPlaceSolvers:
         want, want_res = cg_least_squares_allocating(field, kern, weights=wd, iters=25)
         assert got.data.tobytes() == want.data.tobytes()
         assert res == want_res
+
+
+def test_medi_same_bytes_from_file_and_memory(tmp_path):
+    # every volume is C-ordered in memory, so a volume read from DBV1 and an
+    # in-memory copy of it take the same summation order through a solve
+    field, kern, weights = noisy_case(META)
+    write_volume(field, tmp_path / "field.dbv")
+    write_volume(weights.w, tmp_path / "mag.dbv")
+    field, mag = read_volume(tmp_path / "field.dbv"), read_volume(tmp_path / "mag.dbv")
+    field_copy, mag_copy = (RealVolume(META, np.ascontiguousarray(v.data)) for v in (field, mag))
+    params = MediParams(lam=1e-3, iters=20)
+    got, trace = medi_invert(field, kern, build_medi_weights(mag), params)
+    want, want_trace = medi_invert(field_copy, kern, build_medi_weights(mag_copy), params)
+    assert got.data.tobytes() == want.data.tobytes()
+    assert repr(trace) == repr(want_trace)
 
 
 class TestSolverMemory:

@@ -21,7 +21,7 @@ from qsmkit import cli
 from qsmkit.dipole import build_dipole, forward_field
 from qsmkit.network import build_discriminator, build_generator, load_checkpoint
 from qsmkit.phantom import simulate_case
-from qsmkit.volume import RealVolume, read_mask, read_volume, write_volume
+from qsmkit.volume import Mask, RealVolume, VolumeMeta, read_mask, read_volume, write_volume
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -277,6 +277,15 @@ class TestPhantomSpecErrors:
         assert ("(known: sphere, box, dims, voxel_size, b0_dir, "
                 "background_chi)") in err
 
+    def test_empty_mask_writes_nothing(self, tmp_path, capsys):
+        # a spec whose shapes cover no voxel has a phantom but no mask
+        spec = write(tmp_path / "s.cfg", "dims = 8 8 8\n")
+        out, mask = tmp_path / "c.dbv", tmp_path / "m.dbv"
+        assert cli.main(["phantom", "--spec", spec, "--out", str(out),
+                         "--mask-out", str(mask)]) == 1
+        assert "covering any voxel" in capsys.readouterr().err
+        assert not out.exists() and not mask.exists()
+
     def test_malformed_line_names_location(self, tmp_path, capsys):
         spec = write(tmp_path / "s.cfg", "dims = 8 8 8\nbroken\n")
         assert cli.main(["phantom", "--spec", spec,
@@ -407,6 +416,23 @@ class TestFirstStepInputErrors:
         assert "error" in capsys.readouterr().err
         assert not log.exists()
         assert not ckdir.exists()
+
+    @pytest.mark.parametrize("command", ["train", "uqsm"])
+    @pytest.mark.parametrize("flag, dims, voxel", [("--mags", 14, 1.0), ("--mags", 12, 2.0),
+                                                   ("--masks", 14, 1.0), ("--masks", 12, 2.0)])
+    def test_off_grid_case_rejected(self, command, flag, dims, voxel, sphere_files,
+                                    tmp_path, capsys):
+        # a magnitude or mask on another grid than its field's, 12^3 at 1 mm
+        meta = VolumeMeta((dims,) * 3, (voxel,) * 3)
+        other = str(tmp_path / "other.dbv")
+        write_volume(Mask(meta, np.ones(meta.dims)), other)
+        log, ckdir = tmp_path / "log.csv", tmp_path / "ck"
+        argv = self.argv(command, sphere_files, str(log), str(ckdir), [flag, other])
+        assert cli.main(argv) == 1
+        assert "grid does not match field" in capsys.readouterr().err
+        assert not log.exists()
+        assert not ckdir.exists()
+        assert not (tmp_path / "g.dbc").exists()
 
     @pytest.mark.parametrize("command", ["dip", "uqsm"])
     @pytest.mark.parametrize("flag, value", [("beta1", "1.0"), ("beta2", "1.5"),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -14,7 +16,7 @@ from qsmkit.phantom import (
     shape_coverage,
     simulate_case,
 )
-from qsmkit.volume import Mask, VolumeMeta
+from qsmkit.volume import Mask, RealVolume, VolumeMeta
 
 META32 = VolumeMeta((32, 32, 32), (1.0, 1.0, 1.0), (0, 0, 1))
 
@@ -152,6 +154,17 @@ class TestSimulateCase:
         clean = forward_field(chi, build_dipole(META32))
         noise = a.field.data - clean.data
         assert abs(np.std(noise) - sigma) < 0.1 * sigma
+
+    @pytest.mark.parametrize("part", ["chi", "mask", "magnitude"])
+    def test_parts_share_the_field_grid(self, part):
+        meta = VolumeMeta((8, 8, 8), (1.0, 1.0, 1.0))
+        case = simulate_case(make_random_piecewise(meta, 2, seed=0),
+                             Mask(meta, np.ones(meta.dims)))
+        other = VolumeMeta((8, 8, 8), (2.0, 1.0, 1.0))
+        off = {"chi": RealVolume(other, case.chi.data), "mask": Mask(other, case.mask.data),
+               "magnitude": RealVolume(other, case.magnitude.data)}[part]
+        with pytest.raises(InputError, match=f"^{part} grid does not match field"):
+            replace(case, **{part: off})
 
     def test_geometry_mismatch_rejected(self):
         chi = make_random_piecewise(META32, 2, seed=0)

@@ -768,6 +768,24 @@ class TestOneGridCheck:
                                          "volume.require_same_grid"]
 
 
+class TestOneLayout:
+    """Each volume's memory layout is decided once: ``RealVolume`` copies its
+    data to C order, and no Fortran-order spelling (``order="F"`` or
+    ``"A"``, ``asfortranarray``, ``f_contiguous``) appears outside the DBV1
+    reader, which views the x-fastest file before that copy."""
+
+    def test_fortran_order_only_in_dbv1_reader(self):
+        def fortran(node):
+            if isinstance(node, ast.keyword):
+                return (node.arg == "order" and isinstance(node.value, ast.Constant)
+                        and node.value.value in ("F", "A"))
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name) else None)
+            return name in ("asfortranarray", "f_contiguous")
+
+        assert _owners(fortran) == ["volume._read_dbv1"]
+
+
 class TestOneAdamOwner:
     """Each model's Adam state is built in one place, the run driver."""
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,17 @@ class TestContainers:
         m = np.zeros(META.dims)
         m[2, 2, 2] = 1.0
         assert Mask(META, m).count == 1
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("cls", [RealVolume, Mask])
+    def test_held_in_c_order(self, cls, layout):
+        base = (np.random.default_rng(4).random(META.dims) > 0.5).astype(np.float64)
+        base[0, 0, 0] = 1.0
+        arr = {"C": base, "F": np.asfortranarray(base),
+               "strided": np.repeat(base.T, 2, axis=0)[::2].T}[layout]
+        v = cls(META, arr)
+        assert v.data.flags.c_contiguous and not v.data.flags.writeable
+        assert v.data.tobytes() == base.tobytes()
 
 
 class TestRequireSameGrid:
@@ -198,16 +211,15 @@ class TestDiffOut:
                                              forward_diff_adjoint_allocating)],
                              ids=["diff", "adjoint"])
     def test_any_layout(self, op, oracle):
-        # a strided input, and Fortran order (volumes read from DBV1) for
-        # the input, the output or both
+        # a strided and a Fortran-ordered input; the result is C-ordered
         base = np.random.default_rng(5).standard_normal((4, 6, 5))
         inputs = [base[::2, :, ::-1].transpose(2, 0, 1), base, np.asfortranarray(base)]
         for arr in inputs:
             for axis in range(arr.ndim):
                 want = oracle(arr, axis)
                 got = op(arr, axis)
-                assert got.flags.f_contiguous == arr.flags.f_contiguous
-                out = np.asfortranarray(np.full_like(want, np.nan))
+                assert got.flags.c_contiguous
+                out = np.full(want.shape, np.nan)
                 assert op(arr, axis, out=out) is out
                 assert want.tobytes() == got.tobytes() == out.tobytes()
 
@@ -215,7 +227,7 @@ class TestDiffOut:
     def test_out_must_be_contiguous_and_same_shape(self, op):
         arr = np.zeros((4, 5, 6))
         for out in (np.zeros((4, 5, 7))[..., :6], np.zeros((4, 6, 5)),
-                    np.zeros((5, 6, 4)).transpose(2, 0, 1)):
+                    np.zeros((5, 6, 4)).transpose(2, 0, 1), np.zeros((4, 5, 6), order="F")):
             with pytest.raises(InputError, match="contiguous"):
                 op(arr, 0, out=out)
 
@@ -277,7 +289,7 @@ class TestDBV1:
         with pytest.raises(MalformedHeaderError, match="dims"):
             read_volume(p)
 
-    @pytest.mark.parametrize("delta", [-4, 4])
+    @pytest.mark.parametrize("delta", [-4, -1, 1, 4])
     def test_payload_size_mismatch(self, tmp_path, delta):
         v = rand_volume(seed=13)
         p = tmp_path / "v.dbv"
@@ -309,3 +321,50 @@ class TestDBV1:
         write_volume(rand_volume(seed=3), p)
         with pytest.raises(InputError):
             read_mask(p)
+
+    def test_read_in_c_order(self, tmp_path):
+        m = np.zeros(META.dims)
+        m[1:4, 2:, :3] = 1.0
+        p = tmp_path / "m.dbv"
+        write_volume(Mask(META, m), p)
+        for v in (read_volume(p), read_mask(p)):
+            assert v.data.flags.c_contiguous and not v.data.flags.writeable
+            assert v.data.tobytes() == m.tobytes()
+
+
+class TestDBV1Memory:
+    """Tracemalloc peak of one 64^3 read and one write, in float64 volumes.
+    A read holds the file's bytes (half a volume), the finiteness check's
+    mask (an eighth) and the C-ordered copy: 1.63, and 1.75 for a mask,
+    whose 0/1 check adds boolean maps. It read 2.63 for both while the
+    payload was converted twice and the mask copied from a volume. A write
+    holds one f32 block: 0.50, against 1.00 when the block was copied again
+    by ``tobytes``. Each bound sits just above the current figure."""
+
+    META64 = VolumeMeta((64, 64, 64), (1.0, 1.0, 1.0))
+
+    @staticmethod
+    def peak_volumes(call):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (TestDBV1Memory.META64.voxel_count * 8)
+
+    def volume(self):
+        data = np.random.default_rng(15).standard_normal(self.META64.dims)
+        return RealVolume(self.META64, data > 0)
+
+    def test_write_peak(self, tmp_path):
+        v = self.volume()
+        assert self.peak_volumes(lambda: write_volume(v, tmp_path / "v.dbv")) <= 0.6
+
+    @pytest.mark.parametrize("read, bound", [(read_volume, 1.7), (read_mask, 1.85)],
+                             ids=["volume", "mask"])
+    def test_read_peak(self, tmp_path, read, bound):
+        p = tmp_path / "v.dbv"
+        write_volume(self.volume(), p)
+        assert self.peak_volumes(lambda: read(p)) <= bound
