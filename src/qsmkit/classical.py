@@ -85,7 +85,7 @@ def tkd_invert(field: RealVolume, kernel: DipoleKernel,
     The divisor keeps d where |d| > a and substitutes a * sign(d) elsewhere,
     with sign(0) taken as +1 so the cone itself divides by +a.
     """
-    kernel.require_grid(field.meta)
+    require_same_grid(field.meta, "field", kernel=kernel)
     d = kernel.spectrum
     sign = np.where(d >= 0.0, 1.0, -1.0)
     da = np.where(np.abs(d) > params.a, d, params.a * sign)
@@ -147,8 +147,7 @@ def medi_invert(field: RealVolume, kernel: DipoleKernel, weights: MediWeights,
     Hx in place by the same two operations. The work volumes are freed
     before the result volume is built.
     """
-    kernel.require_grid(field.meta)
-    require_same_grid(field.meta, "field", weights=weights.w)
+    require_same_grid(field.meta, "field", kernel=kernel, weights=weights.w)
     x, trace = _medi_solve(field.data, kernel.spectrum, weights, params)
     return RealVolume(field.meta, x), trace
 
@@ -209,10 +208,9 @@ def cg_least_squares(field: RealVolume, kernel: DipoleKernel,
     returned residual list holds ||W(b - Hx_k)||_2, which is non-increasing
     because each CG step minimizes it over a nested Krylov subspace.
     """
-    kernel.require_grid(field.meta)
     require("iters", iters, ge=1, integer=True)
     require("tol", tol, ge=0)
-    require_same_grid(field.meta, "field", weights=weights)
+    require_same_grid(field.meta, "field", kernel=kernel, weights=weights)
     wd = None if weights is None else weights.data
     x, residuals = _cgls_solve(field.data, kernel.spectrum, wd, iters, tol)
     return RealVolume(field.meta, x), residuals

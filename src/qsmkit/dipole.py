@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, require
-from .volume import RealVolume, VolumeMeta
+from .volume import RealVolume, VolumeMeta, require_same_grid
 
 SPECTRUM_MIN = -2.0 / 3.0
 SPECTRUM_MAX = 1.0 / 3.0
@@ -42,12 +42,6 @@ class DipoleKernel:
             raise InputError("kernel spectrum is not even under k -> -k")
         arr.setflags(write=False)
         object.__setattr__(self, "spectrum", arr)
-
-    def require_grid(self, meta: VolumeMeta) -> None:
-        """Reject a volume whose geometry is not this kernel's grid."""
-        if meta != self.meta:
-            raise InputError(
-                f"volume geometry {meta} does not match kernel grid {self.meta}")
 
 
 def k_mirror(spec: np.ndarray) -> np.ndarray:
@@ -116,7 +110,7 @@ def apply_spectrum(data: np.ndarray, spectrum: np.ndarray, out: np.ndarray | Non
 
 def forward_field(chi: RealVolume, kernel: DipoleKernel) -> RealVolume:
     """Field perturbation of a susceptibility map: ifft(d * fft(chi))."""
-    kernel.require_grid(chi.meta)
+    require_same_grid(chi.meta, "chi", kernel=kernel)
     return RealVolume(chi.meta, apply_spectrum(chi.data, kernel.spectrum))
 
 
@@ -127,7 +121,7 @@ def naive_inverse(field: RealVolume, kernel: DipoleKernel, eps: float = 1e-6) ->
     worst-case baseline.
     """
     require("eps", eps, gt=0)
-    kernel.require_grid(field.meta)
+    require_same_grid(field.meta, "field", kernel=kernel)
     d = kernel.spectrum
     inv = np.zeros_like(d)
     np.divide(1.0, d, out=inv, where=np.abs(d) > eps)

@@ -154,6 +154,7 @@ def sample_patches(ds: UnpairedDataset, cfg: TrainConfig,
     chi_patches, mask_patches) with field_patches a list of
     (phase, magnitude) array pairs.
     """
+    require("count", count, ge=1, integer=True)
     p = cfg.patch_size
     for vol in [case.field for case in ds.field_cases] + list(ds.chi_volumes):
         if min(vol.meta.dims) < p:
@@ -172,66 +173,53 @@ def sample_patches(ds: UnpairedDataset, cfg: TrainConfig,
     return field_patches, chi_patches, mask_patches
 
 
-def _aligned_axis(b0_dir) -> int | None:
-    b = np.asarray(b0_dir, dtype=np.float64)
-    if b.shape != (3,) or not np.all(np.isfinite(b)) or not b.any():
-        raise InputError(f"b0 direction must be a finite nonzero 3-vector, "
-                         f"got {b0_dir}")
-    b = b / np.linalg.norm(b)
-    axis = int(np.argmax(np.abs(b)))
-    return axis if abs(abs(b[axis]) - 1.0) < 1e-12 else None
+def augment(patch_group, rng: np.random.Generator, meta: VolumeMeta) -> list[np.ndarray]:
+    """Random flips plus a k*90 degree rotation about the field axis, limited
+    to those after which the field patch is still the dipole field of the chi
+    patch on the patch grid ``meta``.
 
-
-def augment(patch_group, rng: np.random.Generator,
-            b0_dir=(0.0, 0.0, 1.0)) -> list[np.ndarray]:
-    """Random per-axis flips plus a k*90 degree rotation about the field axis.
-
-    Every array in the group receives the identical transform. The draw order
-    is fixed (three flip coins, then k) independent of b0, so the rng stream
-    does not depend on the field direction. An oblique b0 admits no
-    grid-aligned rotation plane; rotation is then skipped with a logged
-    notice and only flips apply.
+    Every array in the group has shape ``meta.dims`` and receives the
+    identical transform. The draw order is fixed (three flip coins, then k)
+    whatever the geometry, so the rng stream does not depend on it. A flip
+    keeps (k.b0)^2 only if every axis b0 has a component on flips with it, so
+    those axes all take the coin of the first of them. A rotation needs b0
+    along a grid axis; an oblique b0 skips it with a logged notice. A quarter
+    turn swaps the two in-plane axes, so an odd k applies only when their
+    voxel sizes are equal, and otherwise drops to the half turn below it.
     """
     arrays = [np.asarray(a, dtype=np.float64) for a in patch_group]
-    if not arrays:
-        raise InputError("empty patch group")
-    shape = arrays[0].shape
-    if len(shape) != 3:
-        raise InputError(f"patches must be 3D, got shape {shape}")
-    for a in arrays[1:]:
-        if a.shape != shape:
-            raise InputError("patch group shapes differ")
-    flips = rng.integers(0, 2, size=3)
-    k = int(rng.integers(4))
-    axis = _aligned_axis(b0_dir)
-    if axis is None:
-        log.info("b0 %s is not axis-aligned; rotation augmentation skipped",
-                 tuple(b0_dir))
-    plane = tuple(i for i in range(3) if i != axis)
-    if axis is not None and k % 2 and shape[plane[0]] != shape[plane[1]]:
-        raise InputError(
-            f"90 degree rotation needs equal lengths on axes {plane}, "
-            f"got {shape}")
-    out = []
     for a in arrays:
-        for ax in range(3):
-            if flips[ax]:
-                a = np.flip(a, axis=ax)
-        if axis is not None and k:
-            a = np.rot90(a, k, axes=plane)
-        out.append(np.ascontiguousarray(a))
-    return out
+        if a.shape != meta.dims:
+            raise InputError(f"patch shape {a.shape} does not match patch dims {meta.dims}")
+    coins = rng.integers(0, 2, size=3)
+    k = int(rng.integers(4))
+    on_b0 = [abs(c) >= 1e-12 for c in meta.b0_dir]  # the axes b0 has a component on
+    tied = coins[on_b0.index(True)]
+    flipped = tuple(ax for ax in range(3) if (tied if on_b0[ax] else coins[ax]))
+    plane = tuple(ax for ax in range(3) if not on_b0[ax])
+    if len(plane) < 2:
+        log.info("b0 %s is not axis-aligned; rotation augmentation skipped", meta.b0_dir)
+        k = 0
+    elif k % 2 and meta.voxel_size[plane[0]] != meta.voxel_size[plane[1]]:
+        k -= 1
+    if k % 2 and meta.dims[plane[0]] != meta.dims[plane[1]]:
+        raise InputError(
+            f"90 degree rotation needs equal lengths on axes {plane}, got {meta.dims}")
+    out = [np.flip(a, axis=flipped) for a in arrays]
+    if k:
+        out = [np.rot90(a, k, axes=plane) for a in out]
+    return [np.ascontiguousarray(a) for a in out]
 
 
 def _to_tensor(arr: np.ndarray) -> Tensor:
     return Tensor(arr[None].astype(np.float32))
 
 
-def _draw_batch(ds, cfg, rng, b0_dir) -> list[list[np.ndarray]]:
-    """Sample cfg.batch_size patch groups and augment each: one
-    [phase, magnitude, chi, mask] list of arrays per sample."""
+def _draw_batch(ds, cfg, rng, meta) -> list[list[np.ndarray]]:
+    """Sample cfg.batch_size patch groups and augment each on the patch grid
+    ``meta``: one [phase, magnitude, chi, mask] list of arrays per sample."""
     field_p, chi_p, mask_p = sample_patches(ds, cfg, rng, cfg.batch_size)
-    return [augment([phase, mag, chi, mask], rng, b0_dir)
+    return [augment([phase, mag, chi, mask], rng, meta)
             for (phase, mag), chi, mask in zip(field_p, chi_p, mask_p)]
 
 
@@ -374,7 +362,7 @@ def train_cycleqsm(ds: UnpairedDataset, gen: Generator, disc: Discriminator,
     kernel = build_dipole(meta)
 
     def step(update) -> LossReport:
-        b_b, mag_b, chi_b, mask_b = _tensor_batch(_draw_batch(ds, cfg, rng, meta.b0_dir))
+        b_b, mag_b, chi_b, mask_b = _tensor_batch(_draw_batch(ds, cfg, rng, meta))
         report, total_g, gan_d = total_generator_loss(
             chi_b, b_b, gen, disc, kernel, weights=cfg.weights,
             mag_batch=mag_b, mask_batch=mask_b, norm=cfg.norm,
@@ -382,7 +370,7 @@ def train_cycleqsm(ds: UnpairedDataset, gen: Generator, disc: Discriminator,
         update(total_g, "gen")
         update(gan_d, "disc")
         for _ in range(cfg.d_steps_per_g_step - 1):
-            b_b, mag_b, chi_b, mask_b = _tensor_batch(_draw_batch(ds, cfg, rng, meta.b0_dir))
+            b_b, mag_b, chi_b, mask_b = _tensor_batch(_draw_batch(ds, cfg, rng, meta))
             fakes = [apply_generator(gen, b, m).detach()
                      for b, m in zip(b_b, mag_b)]
             extra_d, _ = lsgan_losses(disc, chi_b, fakes, mask_b)
@@ -454,9 +442,8 @@ def optimize_dip(field: RealVolume, magnitude: RealVolume | None,
     per-iteration objective trace, also written to log_path when given.
     """
     meta = field.meta
-    kernel.require_grid(meta)
     require("iters", iters, ge=1, integer=True)
-    require_same_grid(meta, "field", magnitude=magnitude, mask=mask)
+    require_same_grid(meta, "field", kernel=kernel, magnitude=magnitude, mask=mask)
     gen = build_generator(depth=depth, base_channels=base_channels, seed=seed)
     _require_divisible(gen, "volume dims", meta.dims)
     w_arr = magnitude.data if magnitude is not None else np.ones(meta.dims)
@@ -501,7 +488,7 @@ def train_uqsm(ds: UnpairedDataset, gen: Generator, cfg: TrainConfig,
         total = _batch_mean([
             dip_loss(forward_generator(gen, _to_tensor(phase), _to_tensor(mag)), phase,
                      mag * mask, kernel, lam=lam)
-            for phase, mag, _, mask in _draw_batch(ds, cfg, rng, meta.b0_dir)])
+            for phase, mag, _, mask in _draw_batch(ds, cfg, rng, meta)])
         update(total, "gen")
         return total.item()
 

@@ -108,8 +108,8 @@ class Mask(RealVolume):
 
 
 def require_same_grid(meta: VolumeMeta, against: str, /, **volumes) -> None:
-    """Reject any of ``volumes`` (None is skipped) whose grid is not ``meta``,
-    the grid of the input named ``against``; each keyword names its volume."""
+    """Reject any keyword input (a volume, mask or kernel; None is skipped)
+    whose grid is not ``meta``, the grid of the input named ``against``."""
     for name, vol in volumes.items():
         if vol is not None and vol.meta != meta:
             raise InputError(f"{name} grid does not match {against}: inputs "

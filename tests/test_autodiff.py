@@ -20,7 +20,16 @@ from qsmkit.autodiff import (
 )
 from qsmkit.dipole import apply_spectrum, build_dipole
 from qsmkit.errors import InputError, NumericalError
-from qsmkit.gradcheck import F32_TOL, F64_TOL, FAMILIES, FUSED, OPS, _even_spectrum, build_case
+from qsmkit.gradcheck import (
+    F32_TOL,
+    F64_TOL,
+    FAMILIES,
+    FUSED,
+    OPS,
+    _even_spectrum,
+    build_case,
+    run_suite,
+)
 from qsmkit.losses import total_generator_loss
 from qsmkit.network import (
     LEAKY_SLOPE,
@@ -920,6 +929,10 @@ class TestOpValues:
 class TestGradientSuite:
     """The same per-op case families the acceptance gate runs, at a reduced
     case count so the unit suite stays fast."""
+
+    def test_suite_runs_every_family(self):
+        # each family seeded by its index in FAMILIES, whatever else runs
+        assert list(run_suite(np.float64, n_cases=1, samples=1)) == list(FAMILIES)
 
     @pytest.mark.parametrize("op", OPS + FUSED)
     def test_single_precision(self, op):

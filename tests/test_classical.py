@@ -66,7 +66,7 @@ def medi_invert_reference(field: RealVolume, kernel: DipoleKernel, weights: Medi
     objective trace non-increasing. Trace rows are
     (iteration, objective, data_term, reg_term).
     """
-    kernel.require_grid(field.meta)
+    require_same_grid(field.meta, "field", kernel=kernel)
     if weights.w.meta != field.meta:
         raise InputError("weights geometry differs from field")
     b = field.data
@@ -132,8 +132,7 @@ def medi_invert_allocating(field: RealVolume, kernel: DipoleKernel, weights: Med
     objective trace non-increasing. H is linear, so a trial x - t g reuses Hx
     and Hg. Trace rows are (iteration, objective, data_term, reg_term).
     """
-    kernel.require_grid(field.meta)
-    require_same_grid(field.meta, "field", weights=weights.w)
+    require_same_grid(field.meta, "field", kernel=kernel, weights=weights.w)
     b = field.data
     spec = kernel.spectrum
     w2 = weights.w.data ** 2
@@ -183,10 +182,9 @@ def cg_least_squares_allocating(field: RealVolume, kernel: DipoleKernel,
     returned residual list holds ||W(b - Hx_k)||_2, which is non-increasing
     because each CG step minimizes it over a nested Krylov subspace.
     """
-    kernel.require_grid(field.meta)
     require("iters", iters, ge=1, integer=True)
     require("tol", tol, ge=0)
-    require_same_grid(field.meta, "field", weights=weights)
+    require_same_grid(field.meta, "field", kernel=kernel, weights=weights)
     spec = kernel.spectrum
     wd = np.ones(field.meta.dims) if weights is None else weights.data
 

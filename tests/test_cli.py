@@ -417,6 +417,21 @@ class TestFirstStepInputErrors:
         assert not log.exists()
         assert not ckdir.exists()
 
+    @pytest.mark.parametrize("extra, said", [
+        (["--infer-stride", "3"], "unrecognized arguments: --infer-stride"),
+        (["--config", "infer_stride = 3\n"], "unknown config key 'infer_stride'")])
+    def test_train_takes_no_infer_stride(self, extra, said, sphere_files, tmp_path, capsys):
+        # only infer stitches windows; train has no stride to read
+        if extra[0] == "--config":
+            extra = ["--config", write(tmp_path / "t.cfg", extra[1])]
+        log, ckdir = tmp_path / "log.csv", tmp_path / "ck"
+        argv = self.argv("train", sphere_files, str(log), str(ckdir), extra)
+        assert run_bounded(argv) == 1
+        assert said in capsys.readouterr().err
+        assert not log.exists()
+        assert not ckdir.exists()
+        assert not (tmp_path / "g.dbc").exists()
+
     @pytest.mark.parametrize("command", ["train", "uqsm"])
     @pytest.mark.parametrize("flag, dims, voxel", [("--mags", 14, 1.0), ("--mags", 12, 2.0),
                                                    ("--masks", 14, 1.0), ("--masks", 12, 2.0)])
@@ -627,7 +642,7 @@ FLAG_SURFACE = {
     "train": ("--batch-size --beta1 --beta2 --checkpoint-dir --chis "
               "--config --d-steps-per-g-step --disc-channels --disc-layers "
               "--disc-seed --epochs --eta --fields --gamma --gan "
-              "--gen-channels --gen-depth --gen-seed --infer-stride --log "
+              "--gen-channels --gen-depth --gen-seed --log "
               "--lr --mags --mask-losses --masks --norm --out-disc "
               "--out-gen --patch-size --patches-per-epoch --rho --seed",
               {"--chis", "--fields", "--out-gen"}, {},

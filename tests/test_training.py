@@ -15,7 +15,7 @@ import qsmkit.training as tr
 from qsmkit import autodiff as ad
 from qsmkit.autodiff import Tensor
 from qsmkit.classical import MediParams, cg_least_squares
-from qsmkit.dipole import build_dipole
+from qsmkit.dipole import build_dipole, forward_field
 from qsmkit.errors import InputError, NumericalError, require
 from qsmkit.gradcheck import run_suite
 from qsmkit.losses import LossWeights, dip_loss
@@ -145,6 +145,12 @@ class TestSampling:
                 else:
                     assert np.array_equal(x, y)
 
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_count_must_be_positive(self, count):
+        with pytest.raises(InputError, match=rf"^count must be >= 1 and an integer, got {count}$"):
+            sample_patches(encoded_dataset(), TrainConfig(patch_size=4),
+                           np.random.default_rng(0), count)
+
     def test_too_small_volume_rejected(self):
         ds = make_dataset()
         with pytest.raises(InputError, match="smaller than patch"):
@@ -192,34 +198,38 @@ class TestSampling:
             assert phase.shape == (4, 4, 4)
 
 
+def patch_meta(b0=(0.0, 0.0, 1.0), voxel=(1.0, 1.0, 1.0), dims=(4, 4, 4)) -> VolumeMeta:
+    return VolumeMeta(dims, voxel, b0)
+
+
 class TestAugment:
     def setup_method(self):
         rng = np.random.default_rng(5)
         self.x = rng.normal(size=(4, 4, 4))
 
     def test_identity_draws(self):
-        out, = augment([self.x], StubRng((0, 0, 0), 0))
+        out, = augment([self.x], StubRng((0, 0, 0), 0), patch_meta())
         assert np.array_equal(out, self.x)
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_double_flip_is_identity(self, axis):
         flips = [0, 0, 0]
         flips[axis] = 1
-        once, = augment([self.x], StubRng(flips, 0))
-        twice, = augment([once], StubRng(flips, 0))
+        once, = augment([self.x], StubRng(flips, 0), patch_meta())
+        twice, = augment([once], StubRng(flips, 0), patch_meta())
         assert not np.array_equal(once, self.x)
         assert np.array_equal(twice, self.x)
 
     def test_four_quarter_turns_are_identity(self):
         out = self.x
         for _ in range(4):
-            out, = augment([out], StubRng((0, 0, 0), 1))
+            out, = augment([out], StubRng((0, 0, 0), 1), patch_meta())
         assert np.array_equal(out, self.x)
 
     def test_rotation_plane_perpendicular_to_b0(self):
-        out, = augment([self.x], StubRng((0, 0, 0), 1), b0_dir=(0, 0, 1))
+        out, = augment([self.x], StubRng((0, 0, 0), 1), patch_meta())
         assert np.array_equal(out, np.rot90(self.x, 1, axes=(0, 1)))
-        out, = augment([self.x], StubRng((0, 0, 0), 1), b0_dir=(1, 0, 0))
+        out, = augment([self.x], StubRng((0, 0, 0), 1), patch_meta(b0=(1, 0, 0)))
         assert np.array_equal(out, np.rot90(self.x, 1, axes=(1, 2)))
 
     def test_group_transformed_identically(self):
@@ -227,39 +237,80 @@ class TestAugment:
         mask = (rng.uniform(size=(4, 4, 4)) > 0.5).astype(np.float64)
         for seed in range(5):
             outs = augment([self.x, self.x, mask],
-                           np.random.default_rng(seed))
+                           np.random.default_rng(seed), patch_meta())
             assert np.array_equal(outs[0], outs[1])
             assert set(np.unique(outs[2])) <= {0.0, 1.0}
 
     def test_oblique_b0_skips_rotation(self, caplog):
         with caplog.at_level(logging.INFO, logger="qsmkit.training"):
             out, = augment([self.x], StubRng((0, 0, 0), 1),
-                           b0_dir=(0.0, 0.6, 0.8))
+                           patch_meta(b0=(0.0, 0.6, 0.8)))
         assert np.array_equal(out, self.x)
         assert any("rotation augmentation skipped" in r.message
                    for r in caplog.records)
 
     def test_aligned_b0_logs_nothing(self, caplog):
         with caplog.at_level(logging.INFO, logger="qsmkit.training"):
-            augment([self.x], StubRng((0, 0, 0), 1), b0_dir=(0, 0, 1))
+            augment([self.x], StubRng((0, 0, 0), 1), patch_meta())
         assert not caplog.records
 
     def test_odd_rotation_needs_square_plane(self):
         rect = np.zeros((2, 3, 4))
+        meta = patch_meta(dims=rect.shape)
         with pytest.raises(InputError, match="equal lengths"):
-            augment([rect], StubRng((0, 0, 0), 1), b0_dir=(0, 0, 1))
-        out, = augment([rect], StubRng((0, 0, 0), 2), b0_dir=(0, 0, 1))
+            augment([rect], StubRng((0, 0, 0), 1), meta)
+        out, = augment([rect], StubRng((0, 0, 0), 2), meta)
         assert out.shape == rect.shape  # half turns keep any shape
 
+    def test_oblique_b0_axes_flip_together(self):
+        # b0 has components on axes 0 and 2: both take axis 0's coin, and
+        # axis 1, which b0 has no component on, keeps its own
+        meta = patch_meta(b0=(0.3, 0.0, 0.954))
+        out, = augment([self.x], StubRng((1, 0, 0), 0), meta)
+        assert np.array_equal(out, np.flip(self.x, axis=(0, 2)))
+        out, = augment([self.x], StubRng((0, 1, 1), 0), meta)
+        assert np.array_equal(out, np.flip(self.x, axis=1))
+
+    def test_quarter_turn_needs_equal_in_plane_voxels(self):
+        meta = patch_meta(voxel=(1.0, 1.5, 1.0))
+        out, = augment([self.x], StubRng((0, 0, 0), 1), meta)
+        assert np.array_equal(out, self.x)
+        out, = augment([self.x], StubRng((0, 0, 0), 3), meta)
+        assert np.array_equal(out, np.rot90(self.x, 2, axes=(0, 1)))
+        # voxels unequal only along b0 keep the quarter turn
+        out, = augment([self.x], StubRng((0, 0, 0), 1), patch_meta(voxel=(1.0, 1.0, 2.0)))
+        assert np.array_equal(out, np.rot90(self.x, 1, axes=(0, 1)))
+
+    def test_rng_stream_independent_of_geometry(self):
+        ends = []
+        for meta in (patch_meta(), patch_meta(b0=(0.5, 0.5, 0.707), voxel=(1.0, 1.5, 1.0))):
+            rng = np.random.default_rng(3)
+            augment([self.x], rng, meta)
+            ends.append(rng.bit_generator.state)
+        ref = np.random.default_rng(3)
+        ref.integers(0, 2, size=3)
+        ref.integers(4)
+        assert ends == [ref.bit_generator.state] * 2
+
+    @pytest.mark.parametrize("voxel", [(1.0, 1.0, 1.0), (1.0, 1.5, 1.0)])
+    @pytest.mark.parametrize("b0", [(0.0, 0.0, 1.0), (0.3, 0.0, 0.954), (0.5, 0.5, 0.707)])
+    def test_field_stays_the_dipole_field_of_chi(self, b0, voxel):
+        meta = patch_meta(b0=b0, voxel=voxel, dims=(16, 16, 16))
+        kernel = build_dipole(meta)
+        chi = make_random_piecewise(meta, 5, seed=1)
+        field = forward_field(chi, kernel).data
+        for seed in range(24):
+            b, c = augment([field, chi.data], np.random.default_rng(seed), meta)
+            err = np.abs(forward_field(RealVolume(meta, c), kernel).data - b).max()
+            assert err <= 1e-12 * np.abs(field).max(), (seed, err)
+
     def test_validation(self):
-        with pytest.raises(InputError, match="empty"):
-            augment([], np.random.default_rng(0))
-        with pytest.raises(InputError, match="shapes differ"):
-            augment([self.x, np.zeros((2, 2, 2))], np.random.default_rng(0))
-        with pytest.raises(InputError, match="3D"):
-            augment([np.zeros((4, 4))], np.random.default_rng(0))
-        with pytest.raises(InputError, match="b0 direction"):
-            augment([self.x], np.random.default_rng(0), b0_dir=(0.0, 0.0, 0.0))
+        assert augment([], np.random.default_rng(0), patch_meta()) == []
+        with pytest.raises(InputError, match=r"patch shape \(2, 2, 2\) does not match "
+                                             r"patch dims \(4, 4, 4\)"):
+            augment([self.x, np.zeros((2, 2, 2))], np.random.default_rng(0), patch_meta())
+        with pytest.raises(InputError, match=r"patch shape \(4, 4\) does not match"):
+            augment([np.zeros((4, 4))], np.random.default_rng(0), patch_meta())
 
 
 def tiny_models():
@@ -755,17 +806,16 @@ def _owners(match) -> list[str]:
 
 class TestOneGridCheck:
     """Grid equality is written once: no ``==`` or ``!=`` takes a ``.meta``
-    operand outside ``require_same_grid`` and the kernel's own check."""
+    operand outside ``require_same_grid``, which checks kernels too."""
 
-    def test_meta_compared_only_in_the_two_checks(self):
+    def test_meta_compared_only_in_require_same_grid(self):
         def meta_compare(node):
             return (isinstance(node, ast.Compare)
                     and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
                     and any(isinstance(x, ast.Attribute) and x.attr == "meta"
                             for x in [node.left] + node.comparators))
 
-        assert _owners(meta_compare) == ["dipole.DipoleKernel.require_grid",
-                                         "volume.require_same_grid"]
+        assert _owners(meta_compare) == ["volume.require_same_grid"]
 
 
 class TestOneLayout:
@@ -888,6 +938,8 @@ INTEGER_SETTINGS = {
     "check_gradients.samples": lambda: ad.check_gradients(
         lambda t: ad.tsum(t), [Tensor(np.ones(2), requires_grad=True)], samples=2.5),
     "make_random_piecewise.n_blobs": lambda: make_random_piecewise(META8, 1.5),
+    "sample_patches.count": lambda: sample_patches(encoded_dataset(), TrainConfig(patch_size=4),
+                                                   np.random.default_rng(0), 1.5),
     "simulate_case.seed": lambda: simulate_case(FIELD8, full_mask(META8), seed=0.5),
     "TrainConfig.epochs": lambda: TrainConfig(epochs=1.5),
     "TrainConfig.patches_per_epoch": lambda: TrainConfig(patches_per_epoch=4.0),
