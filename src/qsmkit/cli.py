@@ -6,9 +6,10 @@ Exit codes: 0 success, 1 input error (flags, files, geometry), 2 numerical
 failure (NaN or divergence). Every subcommand accepts --seed and produces
 bit-identical outputs for identical inputs and seed; subcommands without any
 randomness simply ignore it. Config-file subcommands resolve each value as
-flag > config file > built-in default. Each built-in default is read from the
-library function or settings class it configures (``_default``), so the two
-cannot drift apart; only the ``--seed`` and ``--disc-seed`` defaults are the CLI's.
+flag > config file > built-in default. A settings-table row names the library
+function or settings class it configures and the parameter it sets, takes that
+parameter's type and default (``_default``), and reaches it as a keyword, so the
+two cannot drift apart; only the ``--seed`` and ``--disc-seed`` defaults are the CLI's.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-from dataclasses import fields
 
 import numpy as np
 
@@ -216,10 +216,26 @@ def cmd_cgls(args) -> int:
 # ------------------------------------------------------ trained pipelines
 
 
+def _default(fn, name: str):
+    return inspect.signature(fn).parameters[name].default
+
+
+# the CLI's own choice: the library's 0 would give both networks one seed
+OWN_DEFAULTS = {"disc_seed": 1}
+
+
+def _setting(key: str, owner, param: str) -> tuple:
+    """The default and type of a table row: its parameter's default (or the
+    CLI's own), typed int where that default is None."""
+    default = OWN_DEFAULTS.get(key, _default(owner, param))
+    return default, int if default is None else type(default)
+
+
 def _add_table_flags(p: argparse.ArgumentParser, table) -> None:
     p.add_argument("--config", help="key=value file mirroring the flag "
                                     "names below")
-    for key, typ, default, help_ in table:
+    for key, owner, param, help_ in table:
+        default, typ = _setting(key, owner, param)
         p.add_argument(f"--{key.replace('_', '-')}",
                        type=_bool if typ is bool else typ, default=None,
                        metavar="BOOL" if typ is bool else None,
@@ -228,93 +244,76 @@ def _add_table_flags(p: argparse.ArgumentParser, table) -> None:
 
 def _read_table(args, table) -> dict:
     """Resolve each table key as flag > config file (its last assignment) >
-    default."""
+    default, grouped as keyword arguments per owner name."""
     cfg = dict(read_config_items(args.config)) if args.config else {}
     known = {key for key, *_ in table}
     for k in cfg:
         if k not in known:
             raise InputError(
                 f"unknown config key {k!r} (known: {', '.join(sorted(known))})")
-    vals = {}
-    for key, typ, default, _ in table:
+    kw = {}
+    for key, owner, param, _ in table:
+        default, typ = _setting(key, owner, param)
         flag = getattr(args, key)
-        vals[key] = (flag if flag is not None
-                     else _convert(cfg[key], typ, key) if key in cfg else default)
-    return vals
+        kw.setdefault(owner.__name__, {})[param] = (
+            flag if flag is not None
+            else _convert(cfg[key], typ, key) if key in cfg else default)
+    return kw
 
 
-def _default(fn, name: str):
-    return inspect.signature(fn).parameters[name].default
-
-
-_D = TrainConfig()
-_W = LossWeights()
-
+# (key, owner, parameter, help): each key sets ``parameter`` of the library
+# function or settings class ``owner`` and takes its type and default
 TRAIN_TABLE = [
-    ("epochs", int, _D.epochs, "training epochs"),
-    ("patches_per_epoch", int, _D.patches_per_epoch,
+    ("epochs", TrainConfig, "epochs", "training epochs"),
+    ("patches_per_epoch", TrainConfig, "patches_per_epoch",
      "patch groups sampled per epoch"),
-    ("patch_size", int, _D.patch_size, "cubic patch side in voxels"),
-    ("lr", float, _D.lr, "Adam learning rate for both networks"),
-    ("beta1", float, _D.beta1, "Adam first-moment decay"),
-    ("beta2", float, _D.beta2, "Adam second-moment decay"),
-    ("gamma", float, _W.gamma, "cycle-consistency weight"),
-    ("eta", float, _W.eta, "gradient-difference weight"),
-    ("rho", float, _W.rho, "total-variation weight"),
-    ("gan", float, _W.gan,
+    ("patch_size", TrainConfig, "patch_size", "cubic patch side in voxels"),
+    ("lr", TrainConfig, "lr", "Adam learning rate for both networks"),
+    ("beta1", TrainConfig, "beta1", "Adam first-moment decay"),
+    ("beta2", TrainConfig, "beta2", "Adam second-moment decay"),
+    ("gamma", LossWeights, "gamma", "cycle-consistency weight"),
+    ("eta", LossWeights, "eta", "gradient-difference weight"),
+    ("rho", LossWeights, "rho", "total-variation weight"),
+    ("gan", LossWeights, "gan",
      "adversarial weight on the generator; 0 trains on the "
      "non-adversarial terms alone"),
-    ("seed", int, _D.seed, "seed for sampling and augmentation"),
-    ("d_steps_per_g_step", int, _D.d_steps_per_g_step,
+    ("seed", TrainConfig, "seed", "seed for sampling and augmentation"),
+    ("d_steps_per_g_step", TrainConfig, "d_steps_per_g_step",
      "discriminator updates per generator step"),
-    ("batch_size", int, _D.batch_size, "patch groups per step"),
-    ("norm", str, _D.norm, "residual norm, l1 or l2"),
-    ("mask_losses", bool, _D.mask_losses,
+    ("batch_size", TrainConfig, "batch_size", "patch groups per step"),
+    ("norm", TrainConfig, "norm", "residual norm, l1 or l2"),
+    ("mask_losses", TrainConfig, "mask_losses",
      "apply masks inside the cycle/gradient/tv residuals"),
-    ("gen_depth", int, _default(build_generator, "depth"), "generator U-Net depth"),
-    ("gen_channels", int, _default(build_generator, "base_channels"),
-     "generator base channels"),
-    ("gen_seed", int, _default(build_generator, "seed"), "generator init seed"),
-    ("disc_layers", int, _default(build_discriminator, "n_layers"),
-     "discriminator strided conv layers"),
-    ("disc_channels", int, _default(build_discriminator, "base_channels"),
-     "discriminator base channels"),
-    # the CLI's own choice: the library's 0 would give both networks one seed
-    ("disc_seed", int, 1, "discriminator init seed"),
+    ("gen_depth", build_generator, "depth", "generator U-Net depth"),
+    ("gen_channels", build_generator, "base_channels", "generator base channels"),
+    ("gen_seed", build_generator, "seed", "generator init seed"),
+    ("disc_layers", build_discriminator, "n_layers", "discriminator strided conv layers"),
+    ("disc_channels", build_discriminator, "base_channels", "discriminator base channels"),
+    ("disc_seed", build_discriminator, "seed", "discriminator init seed"),
 ]
 
 UQSM_TABLE = [row for row in TRAIN_TABLE
               if row[0] in ("epochs", "patches_per_epoch", "patch_size",
                             "lr", "beta1", "beta2", "seed", "batch_size",
                             "gen_depth", "gen_channels", "gen_seed")]
-UQSM_TABLE.append(("lam", float, _default(train_uqsm, "lam"), "total-variation weight"))
+UQSM_TABLE.append(("lam", train_uqsm, "lam", "total-variation weight"))
 
 DIP_TABLE = [
-    ("lam", float, _default(optimize_dip, "lam"), "total-variation weight"),
-    ("iters", int, _default(optimize_dip, "iters"), "optimization iterations"),
-    ("lr", float, _default(optimize_dip, "lr"), "Adam learning rate"),
-    ("seed", int, _default(optimize_dip, "seed"),
-     "seed for init and the fixed noise input"),
-    ("depth", int, _default(optimize_dip, "depth"), "U-Net depth"),
-    ("channels", int, _default(optimize_dip, "base_channels"), "U-Net base channels"),
-    ("beta1", float, _default(optimize_dip, "beta1"), "Adam first-moment decay"),
-    ("beta2", float, _default(optimize_dip, "beta2"), "Adam second-moment decay"),
+    ("lam", optimize_dip, "lam", "total-variation weight"),
+    ("iters", optimize_dip, "iters", "optimization iterations"),
+    ("lr", optimize_dip, "lr", "Adam learning rate"),
+    ("seed", optimize_dip, "seed", "seed for init and the fixed noise input"),
+    ("depth", optimize_dip, "depth", "U-Net depth"),
+    ("channels", optimize_dip, "base_channels", "U-Net base channels"),
+    ("beta1", optimize_dip, "beta1", "Adam first-moment decay"),
+    ("beta2", optimize_dip, "beta2", "Adam second-moment decay"),
 ]
 
 INFER_TABLE = [
-    ("patch_size", int, _D.patch_size, "cubic patch side in voxels"),
-    ("infer_stride", int, None,
+    ("patch_size", TrainConfig, "patch_size", "cubic patch side in voxels"),
+    ("infer_stride", TrainConfig, "infer_stride",
      "window stride; None means half the patch"),
 ]
-
-
-def _train_config(vals: dict) -> TrainConfig:
-    """TrainConfig and its LossWeights from the table keys that name their
-    fields; keys a table lacks keep the dataclass defaults."""
-    def pick(cls) -> dict:
-        return {f.name: vals[f.name] for f in fields(cls) if f.name in vals}
-
-    return TrainConfig(**pick(TrainConfig), weights=LossWeights(**pick(LossWeights)))
 
 
 def _field_cases(field_paths, mag_paths, mask_paths) -> tuple:
@@ -342,18 +341,14 @@ def _field_cases(field_paths, mag_paths, mask_paths) -> tuple:
 
 
 def cmd_train(args) -> int:
-    vals = _read_table(args, TRAIN_TABLE)
+    kw = _read_table(args, TRAIN_TABLE)
     cases = _field_cases(args.fields, args.mags, args.masks)
     chis = tuple(read_volume(p) for p in args.chis)
     ds = UnpairedDataset(cases, chis)
-    gen = build_generator(depth=vals["gen_depth"],
-                          base_channels=vals["gen_channels"],
-                          seed=vals["gen_seed"])
-    disc = build_discriminator(n_layers=vals["disc_layers"],
-                               base_channels=vals["disc_channels"],
-                               seed=vals["disc_seed"])
-    gen, rows = train_cycleqsm(ds, gen, disc, _train_config(vals),
-                               checkpoint_dir=args.checkpoint_dir,
+    gen = build_generator(**kw["build_generator"])
+    disc = build_discriminator(**kw["build_discriminator"])
+    cfg = TrainConfig(**kw["TrainConfig"], weights=LossWeights(**kw["LossWeights"]))
+    gen, rows = train_cycleqsm(ds, gen, disc, cfg, checkpoint_dir=args.checkpoint_dir,
                                log_path=args.log)
     save_checkpoint(gen, args.out_gen)
     if args.out_disc:
@@ -371,43 +366,37 @@ def _load_generator(path: str) -> Generator:
 
 
 def cmd_infer(args) -> int:
-    vals = _read_table(args, INFER_TABLE)
+    kw = _read_table(args, INFER_TABLE)
     gen = _load_generator(args.gen)
     field = read_volume(args.field)
     magnitude = read_volume(args.magnitude) if args.magnitude else None
     mask = read_mask(args.mask) if args.mask else None
-    cfg = TrainConfig(patch_size=vals["patch_size"],
-                      infer_stride=vals["infer_stride"])
+    cfg = TrainConfig(**kw["TrainConfig"])
     write_volume(infer_stitched(gen, field, magnitude, mask, cfg), args.out)
     return 0
 
 
 def cmd_dip(args) -> int:
-    vals = _read_table(args, DIP_TABLE)
+    kw = _read_table(args, DIP_TABLE)
     field = read_volume(args.field)
     magnitude = read_volume(args.magnitude) if args.magnitude else None
     mask = read_mask(args.mask) if args.mask else None
-    out, trace = optimize_dip(
-        field, magnitude, mask, build_dipole(field.meta), lam=vals["lam"],
-        iters=vals["iters"], lr=vals["lr"], seed=vals["seed"],
-        depth=vals["depth"], base_channels=vals["channels"],
-        beta1=vals["beta1"], beta2=vals["beta2"], log_path=args.trace)
+    out, _ = optimize_dip(field, magnitude, mask, build_dipole(field.meta),
+                          log_path=args.trace, **kw["optimize_dip"])
     write_volume(out, args.out)
     return 0
 
 
 def cmd_uqsm(args) -> int:
-    vals = _read_table(args, UQSM_TABLE)
+    kw = _read_table(args, UQSM_TABLE)
     cases = _field_cases(args.fields, args.mags, args.masks)
     # the sampler draws from both dataset sides; this objective never reads
     # the chi side, so the zero placeholder of the first case stands in
     ds = UnpairedDataset(cases, (cases[0].chi,))
-    gen = build_generator(depth=vals["gen_depth"],
-                          base_channels=vals["gen_channels"],
-                          seed=vals["gen_seed"])
-    gen, trace = train_uqsm(ds, gen, _train_config(vals), lam=vals["lam"],
+    gen = build_generator(**kw["build_generator"])
+    gen, trace = train_uqsm(ds, gen, TrainConfig(**kw["TrainConfig"]),
                             checkpoint_dir=args.checkpoint_dir,
-                            log_path=args.trace)
+                            log_path=args.trace, **kw["train_uqsm"])
     save_checkpoint(gen, args.out_gen)
     print(f"trained {len(trace)} steps; final objective {trace[-1]:.6g}")
     return 0

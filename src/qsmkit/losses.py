@@ -176,14 +176,20 @@ def lsgan_losses(disc: Discriminator, real_batch: list[Tensor],
     ``disc`` may be a Discriminator or a callable Tensor -> Tensor.
     """
     masks = _masks(mask_batch, real_batch, fake_batch)
-    d_real = [_apply_disc(disc, r, m) for r, m in zip(real_batch, masks)]
-    d_fake_detached = [_apply_disc(disc, f.detach(), m) for f, m in zip(fake_batch, masks)]
+    gan_d = _lsgan_d(disc, real_batch, fake_batch, masks)
     d_fake = [_apply_disc(disc, f, m) for f, m in zip(fake_batch, masks)]
-    gan_d = ad.add(
-        _batch_mean([ad.tmean(ad.mul(d - 1.0, d - 1.0)) for d in d_real]),
-        _batch_mean([ad.tmean(ad.mul(d, d)) for d in d_fake_detached])) * 0.5
     gan_g = _batch_mean([ad.tmean(ad.mul(d - 1.0, d - 1.0)) for d in d_fake])
     return gan_d, gan_g
+
+
+def _lsgan_d(disc, real_batch: list[Tensor], fake_batch: list[Tensor], masks: list) -> Tensor:
+    """gan_d alone, one discriminator pass per real and per detached fake,
+    for updates that have no use for gan_g."""
+    d_real = [_apply_disc(disc, r, m) for r, m in zip(real_batch, masks)]
+    d_fake = [_apply_disc(disc, f.detach(), m) for f, m in zip(fake_batch, masks)]
+    return ad.add(
+        _batch_mean([ad.tmean(ad.mul(d - 1.0, d - 1.0)) for d in d_real]),
+        _batch_mean([ad.tmean(ad.mul(d, d)) for d in d_fake])) * 0.5
 
 
 def grad_diff_loss(chi_batch: list[Tensor], b_batch: list[Tensor], gen,

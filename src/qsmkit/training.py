@@ -35,9 +35,9 @@ from .losses import (
     LossReport,
     LossWeights,
     _batch_mean,
+    _lsgan_d,
     apply_generator,
     dip_loss,
-    lsgan_losses,
     total_generator_loss,
 )
 from .network import (
@@ -60,9 +60,9 @@ log = logging.getLogger(__name__)
 class TrainConfig:
     """Hyperparameters for the patch-based trainers.
 
-    ``infer_stride`` of None means half the patch size. ``patches_per_epoch``
-    counts sampled patch groups; generator steps per epoch are
-    patches_per_epoch // batch_size (floored, at least one).
+    ``patches_per_epoch`` counts sampled patch groups; generator steps per
+    epoch are patches_per_epoch // batch_size (floored, at least one).
+    ``infer_stride`` is read and checked only by ``infer_stitched``.
     """
 
     epochs: int = 50
@@ -89,15 +89,6 @@ class TrainConfig:
         require("seed", self.seed, ge=0, integer=True)
         if self.norm not in ("l1", "l2"):
             raise InputError(f"norm must be 'l1' or 'l2', got {self.norm!r}")
-        require("infer_stride", self.stride, ge=1, integer=True)
-        if self.stride > self.patch_size:
-            raise InputError(f"infer_stride {self.stride} > patch_size {self.patch_size}")
-
-    @property
-    def stride(self) -> int:
-        if self.infer_stride is not None:
-            return self.infer_stride
-        return max(1, self.patch_size // 2)
 
 
 @dataclass(frozen=True)
@@ -373,8 +364,7 @@ def train_cycleqsm(ds: UnpairedDataset, gen: Generator, disc: Discriminator,
             b_b, mag_b, chi_b, mask_b = _tensor_batch(_draw_batch(ds, cfg, rng, meta))
             fakes = [apply_generator(gen, b, m).detach()
                      for b, m in zip(b_b, mag_b)]
-            extra_d, _ = lsgan_losses(disc, chi_b, fakes, mask_b)
-            update(extra_d, "disc")
+            update(_lsgan_d(disc, chi_b, fakes, mask_b), "disc")
         return report
 
     steps = max(1, cfg.patches_per_epoch // cfg.batch_size)
@@ -400,13 +390,19 @@ def infer_stitched(gen, field: RealVolume, magnitude: RealVolume | None,
                    mask: Mask | None, cfg: TrainConfig) -> RealVolume:
     """Full-volume inference by averaging overlapping patch predictions.
 
-    Windows slide at cfg.stride with edge-clamped final positions; each
-    voxel's output is the uniform average over the windows covering it.
-    Volumes smaller than the patch run zero-padded and are cropped back.
-    The output is multiplied by the mask when one is given.
+    Windows of side cfg.patch_size slide at cfg.infer_stride, an integer in
+    [1, patch_size] where None means half the patch (at least 1), with
+    edge-clamped final positions; each voxel's output is the uniform average
+    over the windows covering it. Volumes smaller than the patch run
+    zero-padded and are cropped back. The output is multiplied by the mask
+    when one is given.
     """
     meta = field.meta
     p = cfg.patch_size
+    stride = max(1, p // 2) if cfg.infer_stride is None else cfg.infer_stride
+    require("infer_stride", stride, ge=1, integer=True)
+    if stride > p:
+        raise InputError(f"infer_stride {stride} > patch_size {p}")
     if isinstance(gen, Generator):
         _require_divisible(gen, "patch_size", p)
     require_same_grid(meta, "field", magnitude=magnitude, mask=mask)
@@ -415,7 +411,7 @@ def infer_stitched(gen, field: RealVolume, magnitude: RealVolume | None,
     f = np.pad(field.data, pad)
     m = np.pad(magnitude.data if magnitude is not None else np.ones(dims), pad)
     out, cnt = np.zeros(f.shape), np.zeros(f.shape)
-    origins = [window_origins(n, p, cfg.stride) for n in f.shape]
+    origins = [window_origins(n, p, stride) for n in f.shape]
     for origin in itertools.product(*origins):
         sl = _slices(origin, p)
         pred = apply_generator(gen, _to_tensor(f[sl]), _to_tensor(m[sl]))
@@ -478,7 +474,13 @@ def train_uqsm(ds: UnpairedDataset, gen: Generator, cfg: TrainConfig,
     discriminator and no chi labels; same sampling, augmentation, halt, and
     checkpoint machinery as the adversarial trainer. Returns the generator
     and the per-step objective trace, also written to log_path when given.
+    A cfg that sets weights, norm, mask_losses or d_steps_per_g_step away
+    from the default is refused: this objective reads none of them.
     """
+    unread = [name for name in ("weights", "norm", "mask_losses", "d_steps_per_g_step")
+              if getattr(cfg, name) != getattr(TrainConfig, name)]
+    if unread:
+        raise InputError(f"train_uqsm does not read {', '.join(unread)}; leave them unset")
     _require_divisible(gen, "patch_size", cfg.patch_size)
     rng = np.random.default_rng(cfg.seed)
     meta = ds.patch_meta(cfg.patch_size)

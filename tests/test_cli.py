@@ -4,6 +4,7 @@ seeded reproducibility, and every README example."""
 import argparse
 import ast
 import csv
+import inspect
 import math
 import os
 import re
@@ -481,7 +482,7 @@ class TestBoolKeys:
     @pytest.mark.parametrize("word, want", [("yes", True), ("off", False)])
     def test_flag_words(self, word, want):
         args = cli.build_parser().parse_args(self.ARGV + ["--mask-losses", word])
-        assert cli._read_table(args, cli.TRAIN_TABLE)["mask_losses"] is want
+        assert cli._read_table(args, cli.TRAIN_TABLE)["TrainConfig"]["mask_losses"] is want
 
     def test_bad_flag_word(self, capsys):
         with pytest.raises(SystemExit) as e:
@@ -686,9 +687,9 @@ class TestFlagSurface:
 
 class TestOneDefault:
     """Each CLI default is written once, in the library the option configures:
-    no ``default=`` keyword, table row default or help text in ``cli.py``
-    states a number, apart from the CLI's own seeds. Finding those seeds shows
-    that each of the three forms is seen."""
+    no ``default=`` keyword, table row, own-default entry or help text in
+    ``cli.py`` states a number, apart from the CLI's own seeds. Finding those
+    seeds shows that the keyword, entry and help forms are seen."""
 
     OWN = [("_add_seed", 0), ("_add_seed", "(default 0"), ("disc_seed", 1)]
 
@@ -700,8 +701,8 @@ class TestOneDefault:
             return False
 
     def written_defaults(self, source: str) -> list:
-        """(enclosing def or row key, value) for each number stated as a
-        default."""
+        """(enclosing def, or row or entry key, value) for each number stated
+        as a default."""
         found = []
         for top in ast.parse(source).body:
             for node in ast.walk(top):
@@ -709,10 +710,15 @@ class TestOneDefault:
                     found += [(getattr(top, "name", "?"), ast.literal_eval(k.value))
                               for k in node.keywords
                               if k.arg == "default" and self.number(k.value)]
-                elif (isinstance(node, ast.Tuple) and len(node.elts) == 4
+                elif (isinstance(node, ast.Tuple) and node.elts
                       and isinstance(node.elts[0], ast.Constant)
-                      and self.number(node.elts[2])):
-                    found.append((node.elts[0].value, ast.literal_eval(node.elts[2])))
+                      and isinstance(node.elts[0].value, str)):
+                    found += [(node.elts[0].value, ast.literal_eval(e))
+                              for e in node.elts[1:] if self.number(e)]
+                elif isinstance(node, ast.Dict):
+                    found += [(k.value, ast.literal_eval(v))
+                              for k, v in zip(node.keys, node.values)
+                              if isinstance(k, ast.Constant) and self.number(v)]
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                     found += [(getattr(top, "name", "?"), m) for m in
                               re.findall(r"\(default -?\.?\d", node.value)]
@@ -721,6 +727,30 @@ class TestOneDefault:
     def test_defaults_come_from_the_library(self):
         source = Path(cli.__file__).read_text()
         assert self.written_defaults(source) == sorted(self.OWN, key=repr)
+
+
+class TestTableRows:
+    """Each settings-table row names a parameter its owner takes, each
+    (owner, parameter) pair is set by at most one row of a table, and each
+    table's owners are exactly those its command passes the values to."""
+
+    OWNERS = {"train": {"TrainConfig", "LossWeights", "build_generator",
+                        "build_discriminator"},
+              "uqsm": {"TrainConfig", "build_generator", "train_uqsm"},
+              "dip": {"optimize_dip"}, "infer": {"TrainConfig"}}
+
+    @pytest.mark.parametrize("command", ["train", "uqsm", "dip", "infer"])
+    def test_rows_name_real_parameters_once(self, command):
+        table = TABLES[command]
+        for key, owner, param, _ in table:
+            assert param in inspect.signature(owner).parameters, (key, owner, param)
+        pairs = [(owner, param) for _, owner, param, _ in table]
+        assert len(set(pairs)) == len(pairs)
+        assert {owner.__name__ for _, owner, *_ in table} == self.OWNERS[command]
+
+    def test_own_defaults_name_table_keys(self):
+        keys = {row[0] for table in TABLES.values() for row in table}
+        assert set(cli.OWN_DEFAULTS) <= keys
 
 
 # ------------------------------------------------------ numeric surface audit
@@ -880,7 +910,7 @@ class TestNumericSurface:
     @pytest.mark.parametrize("command, key",
                              [(c, row[0]) for c, t in TABLES.items() for row in t])
     def test_config_keys(self, command, key, audit_inputs, tmp_path, capsys):
-        typ = next(row[1] for row in TABLES[command] if row[0] == key)
+        typ = next(cli._setting(*row[:3])[1] for row in TABLES[command] if row[0] == key)
         value = "-1" if typ is int else "nan"
         cfg = write(tmp_path / "t.cfg", f"{key} = {value}\n")
         check_run(command, key, value, ["--config", cfg], audit_inputs,

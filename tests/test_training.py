@@ -13,6 +13,7 @@ from scipy import stats
 
 import qsmkit.training as tr
 from qsmkit import autodiff as ad
+from qsmkit import losses
 from qsmkit.autodiff import Tensor
 from qsmkit.classical import MediParams, cg_least_squares
 from qsmkit.dipole import build_dipole, forward_field
@@ -71,17 +72,13 @@ class StubRng:
 class TestConfig:
     def test_defaults(self):
         cfg = TrainConfig()
-        assert cfg.stride == cfg.patch_size // 2
+        assert cfg.infer_stride is None
         assert cfg.weights == LossWeights()
-
-    def test_explicit_stride(self):
-        assert TrainConfig(patch_size=16, infer_stride=16).stride == 16
 
     @pytest.mark.parametrize("kw", [
         {"epochs": 0}, {"patches_per_epoch": 0}, {"patch_size": 1},
         {"lr": 0.0}, {"lr": np.nan}, {"beta1": 1.0}, {"beta2": -0.1},
         {"d_steps_per_g_step": 0}, {"batch_size": 0}, {"norm": "huber"},
-        {"infer_stride": 0}, {"patch_size": 8, "infer_stride": 9},
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(InputError):
@@ -416,6 +413,34 @@ class TestTrainCycle:
         _, rows = train_cycleqsm(ds, gen, disc, cfg)
         assert len(rows) == 2
 
+    def test_extra_discriminator_step_skips_gan_g(self, monkeypatch):
+        """An extra discriminator step runs the discriminator once per real
+        and once per fake patch; the gan_g pass that ``lsgan_losses`` would
+        add changes no byte of the run."""
+        calls = []
+        forward = losses.forward_discriminator
+        monkeypatch.setattr(losses, "forward_discriminator",
+                            lambda *a: calls.append(1) or forward(*a))
+        cfg = TrainConfig(epochs=1, patches_per_epoch=4, patch_size=8, lr=1e-4,
+                          seed=3, batch_size=2, d_steps_per_g_step=2)
+
+        def run():
+            calls.clear()
+            gen, disc = tiny_models()
+            _, rows = train_cycleqsm(make_dataset(), gen, disc, cfg)
+            return len(calls), rows, [t.data for m in (gen, disc)
+                                      for t in m.params.values()]
+
+        n, rows, params = run()
+        # 2 steps of 2 samples: 3 passes each in the objective, 2 in the extra step
+        assert n == 2 * 2 * (3 + 2)
+        monkeypatch.setattr(tr, "_lsgan_d",
+                            lambda *a: losses.lsgan_losses(*a)[0])
+        n_old, rows_old, params_old = run()
+        assert n_old == 2 * 2 * (3 + 3)
+        assert rows == rows_old
+        assert all(np.array_equal(a, b) for a, b in zip(params, params_old))
+
     def test_patch_not_divisible(self):
         ds = make_dataset()
         gen = build_generator(depth=3, base_channels=4, seed=0)  # divisor 4
@@ -559,6 +584,46 @@ class TestStitched:
                            TrainConfig(patch_size=6, infer_stride=6))
 
 
+class TestInferStride:
+    """The window stride belongs to ``infer_stitched``: it derives the
+    default and checks the value, and the trainers never read it."""
+
+    FIELD = RealVolume(META12, np.random.default_rng(5).normal(size=META12.dims))
+
+    def test_default_is_half_the_patch(self):
+        gen = CountingGen()
+        out = infer_stitched(gen, self.FIELD, None, None, TrainConfig(patch_size=4))
+        assert gen.calls == len(window_origins(12, 4, 2)) ** 3
+        half = infer_stitched(CountingGen(), self.FIELD, None, None,
+                              TrainConfig(patch_size=4, infer_stride=2))
+        assert np.array_equal(out.data, half.data)
+        gen = CountingGen()
+        infer_stitched(gen, self.FIELD, None, None, TrainConfig(patch_size=3))
+        assert gen.calls == len(window_origins(12, 3, 1)) ** 3
+
+    def test_explicit_stride(self):
+        gen = CountingGen()
+        infer_stitched(gen, self.FIELD, None, None,
+                       TrainConfig(patch_size=4, infer_stride=4))
+        assert gen.calls == 3 ** 3
+
+    @pytest.mark.parametrize("patch, stride", [(16, 0), (8, 9), (8, -1), (8, True)])
+    def test_rejects_bad_stride(self, patch, stride):
+        gen = CountingGen()
+        cfg = TrainConfig(patch_size=patch, infer_stride=stride)
+        with pytest.raises(InputError, match="^infer_stride"):
+            infer_stitched(gen, self.FIELD, None, None, cfg)
+        assert gen.calls == 0
+
+    def test_trainers_take_any_stride(self):
+        cfg = TrainConfig(epochs=1, patches_per_epoch=1, patch_size=8, infer_stride=9)
+        gen, disc = tiny_models()
+        train_cycleqsm(make_dataset(), gen, disc, cfg)
+        train_uqsm(make_dataset(), gen, cfg)
+        with pytest.raises(InputError, match="infer_stride 9 > patch_size 8"):
+            infer_stitched(gen, self.FIELD, None, None, cfg)
+
+
 class TestDip:
     def setup_method(self):
         self.meta = VolumeMeta((8, 8, 8), (1.0, 1.0, 1.0), (0.0, 0.0, 1.0))
@@ -691,6 +756,17 @@ class TestUqsm:
                    for n, t in gen.params.items())
         assert not (tmp_path / "disc_last_good.dbc1").exists()
         assert len(log.read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("setting", [
+        {"weights": LossWeights(gamma=1.0)}, {"norm": "l2"}, {"mask_losses": True},
+        {"d_steps_per_g_step": 2}], ids=lambda kw: next(iter(kw)))
+    def test_rejects_unread_settings(self, setting, tmp_path):
+        cfg = TrainConfig(epochs=1, patches_per_epoch=1, patch_size=8, **setting)
+        gen = build_generator(depth=2, base_channels=4, seed=3)
+        with pytest.raises(InputError, match=f"^train_uqsm does not read {next(iter(setting))};"):
+            train_uqsm(make_dataset(), gen, cfg, checkpoint_dir=tmp_path / "ck",
+                       log_path=tmp_path / "trace.csv")
+        assert not any(tmp_path.iterdir())
 
 
 class TestOneRunDriver:
@@ -944,7 +1020,6 @@ INTEGER_SETTINGS = {
     "TrainConfig.epochs": lambda: TrainConfig(epochs=1.5),
     "TrainConfig.patches_per_epoch": lambda: TrainConfig(patches_per_epoch=4.0),
     "TrainConfig.patch_size": lambda: TrainConfig(patch_size=8.0),
-    "TrainConfig.infer_stride": lambda: TrainConfig(infer_stride=4.5),
     "TrainConfig.d_steps_per_g_step": lambda: TrainConfig(d_steps_per_g_step=True),
     "TrainConfig.batch_size": lambda: TrainConfig(batch_size=1.5),
     "TrainConfig.seed": lambda: TrainConfig(seed=0.5),
@@ -953,6 +1028,8 @@ INTEGER_SETTINGS = {
     "build_generator.seed": lambda: build_generator(seed=1.5),
     "build_discriminator.n_layers": lambda: build_discriminator(n_layers=True),
     "window_origins.stride": lambda: window_origins(16, 8, 4.0),
+    "infer_stitched.infer_stride": lambda: infer_stitched(
+        identity_gen, FIELD8, None, None, TrainConfig(patch_size=8, infer_stride=4.5)),
     "write_log_csv.steps_per_epoch": lambda: write_log_csv([], os.devnull, 1.5),
 }
 
