@@ -278,11 +278,11 @@ TRAIN_TABLE = [
      "adversarial weight on the generator; 0 trains on the "
      "non-adversarial terms alone"),
     ("seed", TrainConfig, "seed", "seed for sampling and augmentation"),
-    ("d_steps_per_g_step", TrainConfig, "d_steps_per_g_step",
+    ("d_steps_per_g_step", train_cycleqsm, "d_steps_per_g_step",
      "discriminator updates per generator step"),
     ("batch_size", TrainConfig, "batch_size", "patch groups per step"),
-    ("norm", TrainConfig, "norm", "residual norm, l1 or l2"),
-    ("mask_losses", TrainConfig, "mask_losses",
+    ("norm", train_cycleqsm, "norm", "residual norm, l1 or l2"),
+    ("mask_losses", train_cycleqsm, "mask_losses",
      "apply masks inside the cycle/gradient/tv residuals"),
     ("gen_depth", build_generator, "depth", "generator U-Net depth"),
     ("gen_channels", build_generator, "base_channels", "generator base channels"),
@@ -347,9 +347,10 @@ def cmd_train(args) -> int:
     ds = UnpairedDataset(cases, chis)
     gen = build_generator(**kw["build_generator"])
     disc = build_discriminator(**kw["build_discriminator"])
-    cfg = TrainConfig(**kw["TrainConfig"], weights=LossWeights(**kw["LossWeights"]))
-    gen, rows = train_cycleqsm(ds, gen, disc, cfg, checkpoint_dir=args.checkpoint_dir,
-                               log_path=args.log)
+    gen, rows = train_cycleqsm(ds, gen, disc, TrainConfig(**kw["TrainConfig"]),
+                               checkpoint_dir=args.checkpoint_dir, log_path=args.log,
+                               weights=LossWeights(**kw["LossWeights"]),
+                               **kw["train_cycleqsm"])
     save_checkpoint(gen, args.out_gen)
     if args.out_disc:
         save_checkpoint(disc, args.out_disc)
@@ -663,10 +664,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"qsmkit: numerical failure: {exc}", file=sys.stderr)
         return 2
-    except QsmError as exc:
-        print(f"qsmkit: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (QsmError, OSError) as exc:
         print(f"qsmkit: error: {exc}", file=sys.stderr)
         return 1
 

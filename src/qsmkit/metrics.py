@@ -69,19 +69,18 @@ def psnr(truth: RealVolume, recon: RealVolume, mask: Mask | None = None,
     """Peak signal-to-noise ratio in dB: 10 log10(peak^2 / MSE).
 
     ``peak`` defaults to max |truth| over the selected voxels; pass an
-    explicit value to compare against other tools' conventions. A perfect
-    reconstruction (MSE = 0) returns the +inf sentinel.
+    explicit value (always checked) to compare against other tools'
+    conventions. A perfect reconstruction (MSE = 0) returns the +inf sentinel.
     """
     _check_pair(truth, recon)
     sel = _select(truth, mask)
     diff = truth.data[sel] - recon.data[sel]
     mse = float(np.mean(diff * diff))
-    if mse == 0.0:
-        return math.inf
-    if peak is None:
+    if peak is None and mse:
         peak = float(np.max(np.abs(truth.data[sel])))
-    require("peak", peak, gt=0)
-    return 10.0 * math.log10(peak * peak / mse)
+    if peak is not None:
+        require("peak", peak, gt=0)
+    return 10.0 * math.log10(peak * peak / mse) if mse else math.inf
 
 
 def _box_sums(a: np.ndarray, w: int) -> np.ndarray:

@@ -46,6 +46,12 @@ class Generator:
     def divisor(self) -> int:
         return 2 ** (self.depth - 1)
 
+    def require_divisible(self, what: str, sizes) -> None:
+        """Reject spatial ``sizes`` (named ``what``) the U-Net cannot halve depth - 1 times."""
+        if np.any(np.mod(sizes, self.divisor)):
+            raise InputError(f"{what} {sizes} must be divisible by {self.divisor} (pad each "
+                             f"offending axis up to the next multiple of {self.divisor})")
+
     def config(self) -> dict:
         return {"depth": self.depth, "base_channels": self.base_channels,
                 "in_channels": self.in_channels}
@@ -153,12 +159,7 @@ def forward_generator(gen: Generator, phase: Tensor, magnitude: Tensor) -> Tenso
     """Run the U-Net; inputs are (1, X, Y, Z) tensors sharing a grid."""
     if phase.shape != magnitude.shape or phase.shape[0] != 1:
         raise InputError("phase and magnitude must both be (1, X, Y, Z)")
-    div = gen.divisor
-    bad = [n for n in phase.shape[1:] if n % div]
-    if bad:
-        raise InputError(
-            f"spatial dims {phase.shape[1:]} must be divisible by {div} "
-            f"(pad each offending axis up to the next multiple of {div})")
+    gen.require_divisible("spatial dims", phase.shape[1:])
     p = gen.params
     x = ad.concat([phase, magnitude])
     skips = []

@@ -58,7 +58,8 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for the patch-based trainers.
+    """What both patch trainers read; each objective's own settings are
+    parameters of its trainer (``train_cycleqsm``, ``train_uqsm``).
 
     ``patches_per_epoch`` counts sampled patch groups; generator steps per
     epoch are patches_per_epoch // batch_size (floored, at least one).
@@ -72,23 +73,16 @@ class TrainConfig:
     lr: float = 1e-5
     beta1: float = 0.5
     beta2: float = 0.999
-    weights: LossWeights = LossWeights()
     seed: int = 0
-    d_steps_per_g_step: int = 1
     batch_size: int = 1
-    norm: str = "l1"
-    mask_losses: bool = False
 
     def __post_init__(self):
         require("epochs and patches_per_epoch", self.epochs, self.patches_per_epoch,
                 ge=1, integer=True)
         require("patch_size", self.patch_size, ge=2, integer=True)
         check_adam(self.lr, self.beta1, self.beta2)
-        require("d_steps_per_g_step and batch_size", self.d_steps_per_g_step,
-                self.batch_size, ge=1, integer=True)
+        require("batch_size", self.batch_size, ge=1, integer=True)
         require("seed", self.seed, ge=0, integer=True)
-        if self.norm not in ("l1", "l2"):
-            raise InputError(f"norm must be 'l1' or 'l2', got {self.norm!r}")
 
 
 @dataclass(frozen=True)
@@ -219,11 +213,6 @@ def _tensor_batch(groups) -> list[list[Tensor]]:
     return [[_to_tensor(a) for a in column] for column in zip(*groups)]
 
 
-def _require_divisible(gen: Generator, what: str, sizes) -> None:
-    if np.any(np.mod(sizes, gen.divisor)):
-        raise InputError(f"{what} {sizes} must be divisible by {gen.divisor}")
-
-
 def _update(loss: Tensor, model, state: AdamState, lr: float, beta1: float,
             beta2: float, params: list[Tensor]) -> None:
     """Backward from ``loss``, one Adam step on ``model``, then clear the
@@ -333,20 +322,25 @@ def _run(step, models: dict, opt: tuple, epochs: int, steps: int,
 
 
 def train_cycleqsm(ds: UnpairedDataset, gen: Generator, disc: Discriminator,
-                   cfg: TrainConfig, checkpoint_dir=None, log_path=None
+                   cfg: TrainConfig, checkpoint_dir=None, log_path=None, *,
+                   weights: LossWeights = LossWeights(), norm: str = "l1",
+                   mask_losses: bool = False, d_steps_per_g_step: int = 1
                    ) -> tuple[Generator, list[LossReport]]:
     """Adversarial unpaired training of the dipole-inversion generator.
 
     Per generator step: sample and augment a batch, evaluate the combined
     objective once (sharing all generator applications), update the generator
-    on gamma*cycle + gan*gan_g + eta*grad + rho*tv, then the discriminator on
-    gan_d; extra discriminator steps (d_steps_per_g_step > 1) resample fresh
-    batches. Masks always multiply discriminator inputs. Returns the trained
-    generator and one LossReport per generator step; checkpoints per epoch
-    and a CSV log are written when the paths are given. A non-finite value
+    on gamma*cycle + gan*gan_g + eta*grad + rho*tv under ``weights``, then the
+    discriminator on gan_d; extra discriminator steps (d_steps_per_g_step > 1)
+    resample fresh batches. The residuals take ``norm`` ("l1" or "l2"; another
+    stops the first step, before any file is written) and the masks only with
+    ``mask_losses``; masks always multiply discriminator inputs. Returns the
+    generator and one LossReport per generator step; checkpoints per epoch and
+    a CSV log are written when the paths are given. A non-finite value
     anywhere halts with NumericalError and keeps the last good parameters.
     """
-    _require_divisible(gen, "patch_size", cfg.patch_size)
+    require("d_steps_per_g_step", d_steps_per_g_step, ge=1, integer=True)
+    gen.require_divisible("patch_size", cfg.patch_size)
     disc.require_patch(cfg.patch_size)
     rng = np.random.default_rng(cfg.seed)
     meta = ds.patch_meta(cfg.patch_size)
@@ -355,12 +349,11 @@ def train_cycleqsm(ds: UnpairedDataset, gen: Generator, disc: Discriminator,
     def step(update) -> LossReport:
         b_b, mag_b, chi_b, mask_b = _tensor_batch(_draw_batch(ds, cfg, rng, meta))
         report, total_g, gan_d = total_generator_loss(
-            chi_b, b_b, gen, disc, kernel, weights=cfg.weights,
-            mag_batch=mag_b, mask_batch=mask_b, norm=cfg.norm,
-            mask_losses=cfg.mask_losses)
+            chi_b, b_b, gen, disc, kernel, weights=weights, mag_batch=mag_b,
+            mask_batch=mask_b, norm=norm, mask_losses=mask_losses)
         update(total_g, "gen")
         update(gan_d, "disc")
-        for _ in range(cfg.d_steps_per_g_step - 1):
+        for _ in range(d_steps_per_g_step - 1):
             b_b, mag_b, chi_b, mask_b = _tensor_batch(_draw_batch(ds, cfg, rng, meta))
             fakes = [apply_generator(gen, b, m).detach()
                      for b, m in zip(b_b, mag_b)]
@@ -404,7 +397,7 @@ def infer_stitched(gen, field: RealVolume, magnitude: RealVolume | None,
     if stride > p:
         raise InputError(f"infer_stride {stride} > patch_size {p}")
     if isinstance(gen, Generator):
-        _require_divisible(gen, "patch_size", p)
+        gen.require_divisible("patch_size", p)
     require_same_grid(meta, "field", magnitude=magnitude, mask=mask)
     dims = meta.dims
     pad = [(0, max(n, p) - n) for n in dims]
@@ -441,7 +434,7 @@ def optimize_dip(field: RealVolume, magnitude: RealVolume | None,
     require("iters", iters, ge=1, integer=True)
     require_same_grid(meta, "field", kernel=kernel, magnitude=magnitude, mask=mask)
     gen = build_generator(depth=depth, base_channels=base_channels, seed=seed)
-    _require_divisible(gen, "volume dims", meta.dims)
+    gen.require_divisible("volume dims", meta.dims)
     w_arr = magnitude.data if magnitude is not None else np.ones(meta.dims)
     if mask is not None:
         w_arr = w_arr * mask.data
@@ -474,14 +467,10 @@ def train_uqsm(ds: UnpairedDataset, gen: Generator, cfg: TrainConfig,
     discriminator and no chi labels; same sampling, augmentation, halt, and
     checkpoint machinery as the adversarial trainer. Returns the generator
     and the per-step objective trace, also written to log_path when given.
-    A cfg that sets weights, norm, mask_losses or d_steps_per_g_step away
-    from the default is refused: this objective reads none of them.
+    ``lam`` is this objective's one setting; ``cfg`` carries only what both
+    patch trainers read.
     """
-    unread = [name for name in ("weights", "norm", "mask_losses", "d_steps_per_g_step")
-              if getattr(cfg, name) != getattr(TrainConfig, name)]
-    if unread:
-        raise InputError(f"train_uqsm does not read {', '.join(unread)}; leave them unset")
-    _require_divisible(gen, "patch_size", cfg.patch_size)
+    gen.require_divisible("patch_size", cfg.patch_size)
     rng = np.random.default_rng(cfg.seed)
     meta = ds.patch_meta(cfg.patch_size)
     kernel = build_dipole(meta)

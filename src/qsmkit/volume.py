@@ -27,6 +27,7 @@ from .errors import (
 )
 
 DBV1_MAGIC = "DBV1"
+SLAB_BYTES = 1 << 17  # the most f32 bytes write_framed casts at once
 
 
 @dataclass(frozen=True)
@@ -167,12 +168,15 @@ def forward_diff_adjoint(arr: np.ndarray, axis: int, out: np.ndarray | None = No
 
 def write_framed(path: str | Path, header: dict, blocks) -> None:
     """Write the DBV1/DBC1 framing: the header as one JSON line, then each
-    array in ``blocks`` as raw little-endian f32 in C order."""
+    array in ``blocks`` (at least 1-d) as raw little-endian f32 in C order,
+    cast in slabs along its first axis of about ``SLAB_BYTES`` each."""
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8"))
         fh.write(b"\n")
         for block in blocks:
-            fh.write(np.ascontiguousarray(block, dtype="<f4"))
+            rows = max(1, SLAB_BYTES * len(block) // max(1, 4 * block.size))
+            for i in range(0, len(block), rows):
+                fh.write(np.ascontiguousarray(block[i:i + rows], dtype="<f4"))
 
 
 def read_framed(path: str | Path, magic: str, fields, parse):

@@ -31,7 +31,7 @@ from qsmkit.errors import (
     PayloadSizeError,
 )
 from qsmkit.gradcheck import F32_TOL, F64_TOL, FAMILIES, run_suite
-from qsmkit.losses import LossWeights, lsgan_losses
+from qsmkit.losses import lsgan_losses
 from qsmkit.metrics import RoiSet, psnr, rmse, roi_regression, ssim3
 from qsmkit.network import (
     build_discriminator,
@@ -225,7 +225,7 @@ def _smoke_train(ds: UnpairedDataset, cfg_seed: int):
     gen = build_generator(depth=3, base_channels=16, seed=0)
     disc = build_discriminator(n_layers=3, base_channels=16, seed=1)
     cfg = TrainConfig(epochs=10, patches_per_epoch=20, patch_size=16,
-                      lr=1e-3, weights=LossWeights(), seed=cfg_seed)
+                      lr=1e-3, seed=cfg_seed)
     return train_cycleqsm(ds, gen, disc, cfg)
 
 

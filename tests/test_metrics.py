@@ -129,6 +129,16 @@ class TestPsnr:
             wins += vals[0] > vals[1] > vals[2]
         assert wins >= 3
 
+    def test_given_peak_checked_on_identical_volumes(self):
+        t, _ = random_pair(13)
+        for bad in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(InputError, match="peak"):
+                psnr(t, t, peak=bad)
+
+    def test_identical_all_zero_is_inf(self):
+        z = vol(np.zeros(META.dims))
+        assert psnr(z, z) == math.inf
+
     def test_degenerate_peak_rejected(self):
         z = vol(np.zeros(META.dims))
         r = vol(np.ones(META.dims))

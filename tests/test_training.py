@@ -3,6 +3,8 @@ optimization, and stitched inference: determinism, unpairedness, transform
 group identities, counting oracles, and descent smoke checks."""
 
 import ast
+import dataclasses
+import inspect
 import logging
 import os
 from pathlib import Path
@@ -71,18 +73,30 @@ class StubRng:
 
 class TestConfig:
     def test_defaults(self):
-        cfg = TrainConfig()
-        assert cfg.infer_stride is None
-        assert cfg.weights == LossWeights()
+        assert TrainConfig().infer_stride is None
+        assert inspect.signature(train_cycleqsm).parameters["weights"].default == LossWeights()
 
     @pytest.mark.parametrize("kw", [
         {"epochs": 0}, {"patches_per_epoch": 0}, {"patch_size": 1},
         {"lr": 0.0}, {"lr": np.nan}, {"beta1": 1.0}, {"beta2": -0.1},
-        {"d_steps_per_g_step": 0}, {"batch_size": 0}, {"norm": "huber"},
+        {"seed": -1}, {"batch_size": 0}, {"beta1": -0.5},
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(InputError):
             TrainConfig(**kw)
+
+    def test_holds_what_both_patch_trainers_read(self):
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+            "epochs", "patches_per_epoch", "patch_size", "infer_stride", "lr",
+            "beta1", "beta2", "seed", "batch_size"]
+
+    @pytest.mark.parametrize("name", ["weights", "norm", "mask_losses",
+                                      "d_steps_per_g_step"])
+    def test_objective_settings_belong_to_train_cycleqsm(self, name):
+        param = inspect.signature(train_cycleqsm).parameters[name]
+        assert param.kind is inspect.Parameter.KEYWORD_ONLY
+        with pytest.raises(TypeError):
+            TrainConfig(**{name: param.default})
 
 
 class TestDataset:
@@ -400,17 +414,17 @@ class TestTrainCycle:
         for flag in (False, True):
             gen, disc = tiny_models()
             cfg = TrainConfig(epochs=1, patches_per_epoch=2, patch_size=8,
-                              lr=1e-4, seed=4, mask_losses=flag)
-            _, rows = train_cycleqsm(ds, gen, disc, cfg)
+                              lr=1e-4, seed=4)
+            _, rows = train_cycleqsm(ds, gen, disc, cfg, mask_losses=flag)
             outs.append(rows[0].cycle)
         assert outs[0] != outs[1]
 
     def test_extra_discriminator_steps(self):
         ds = make_dataset()
         cfg = TrainConfig(epochs=1, patches_per_epoch=2, patch_size=8,
-                          lr=1e-4, seed=5, d_steps_per_g_step=2)
+                          lr=1e-4, seed=5)
         gen, disc = tiny_models()
-        _, rows = train_cycleqsm(ds, gen, disc, cfg)
+        _, rows = train_cycleqsm(ds, gen, disc, cfg, d_steps_per_g_step=2)
         assert len(rows) == 2
 
     def test_extra_discriminator_step_skips_gan_g(self, monkeypatch):
@@ -422,12 +436,12 @@ class TestTrainCycle:
         monkeypatch.setattr(losses, "forward_discriminator",
                             lambda *a: calls.append(1) or forward(*a))
         cfg = TrainConfig(epochs=1, patches_per_epoch=4, patch_size=8, lr=1e-4,
-                          seed=3, batch_size=2, d_steps_per_g_step=2)
+                          seed=3, batch_size=2)
 
         def run():
             calls.clear()
             gen, disc = tiny_models()
-            _, rows = train_cycleqsm(make_dataset(), gen, disc, cfg)
+            _, rows = train_cycleqsm(make_dataset(), gen, disc, cfg, d_steps_per_g_step=2)
             return len(calls), rows, [t.data for m in (gen, disc)
                                       for t in m.params.values()]
 
@@ -457,6 +471,16 @@ class TestTrainCycle:
             train_cycleqsm(ds, gen, disc, TrainConfig(
                 epochs=1, patches_per_epoch=1, patch_size=8))
 
+    @pytest.mark.parametrize("setting", [{"norm": "huber"}, {"d_steps_per_g_step": 0}],
+                             ids=lambda kw: next(iter(kw)))
+    def test_rejects_bad_objective_setting_before_writing(self, setting, tmp_path):
+        cfg = TrainConfig(epochs=1, patches_per_epoch=1, patch_size=8)
+        ckdir, log = tmp_path / "ck", tmp_path / "log.csv"
+        with pytest.raises(InputError, match=f"^{next(iter(setting))} must be"):
+            train_cycleqsm(make_dataset(), *tiny_models(), cfg, checkpoint_dir=ckdir,
+                           log_path=log, **setting)
+        assert not any(tmp_path.iterdir())
+
     def test_gamma_only_training_descends(self):
         # supervised surrogate: paired volumes, adversarial weight off
         meta = VolumeMeta((20, 20, 20), (1.0, 1.0, 1.0), (0.0, 0.0, 1.0))
@@ -464,9 +488,9 @@ class TestTrainCycle:
         gen = build_generator(depth=2, base_channels=8, seed=0)
         disc = build_discriminator(n_layers=2, base_channels=4, seed=1)
         cfg = TrainConfig(epochs=1, patches_per_epoch=120, patch_size=12,
-                          lr=3e-4, seed=3,
-                          weights=LossWeights(10.0, 0.0, 0.0, 0.0))
-        _, rows = train_cycleqsm(ds, gen, disc, cfg)
+                          lr=3e-4, seed=3)
+        _, rows = train_cycleqsm(ds, gen, disc, cfg,
+                                 weights=LossWeights(10.0, 0.0, 0.0, 0.0))
         tot = [r.total for r in rows]
         assert np.median(tot[-12:]) < 0.5 * np.median(tot[:12])
         assert all(np.isfinite(tot))
@@ -757,17 +781,6 @@ class TestUqsm:
         assert not (tmp_path / "disc_last_good.dbc1").exists()
         assert len(log.read_text().splitlines()) == 2
 
-    @pytest.mark.parametrize("setting", [
-        {"weights": LossWeights(gamma=1.0)}, {"norm": "l2"}, {"mask_losses": True},
-        {"d_steps_per_g_step": 2}], ids=lambda kw: next(iter(kw)))
-    def test_rejects_unread_settings(self, setting, tmp_path):
-        cfg = TrainConfig(epochs=1, patches_per_epoch=1, patch_size=8, **setting)
-        gen = build_generator(depth=2, base_channels=4, seed=3)
-        with pytest.raises(InputError, match=f"^train_uqsm does not read {next(iter(setting))};"):
-            train_uqsm(make_dataset(), gen, cfg, checkpoint_dir=tmp_path / "ck",
-                       log_path=tmp_path / "trace.csv")
-        assert not any(tmp_path.iterdir())
-
 
 class TestOneRunDriver:
     """The optimisation loop is written once: only ``_update`` runs backward
@@ -892,6 +905,19 @@ class TestOneGridCheck:
                             for x in [node.left] + node.comparators))
 
         assert _owners(meta_compare) == ["volume.require_same_grid"]
+
+
+class TestOneSizeRule:
+    """The generator's size rule is written once: only
+    ``Generator.require_divisible`` reads ``divisor``, so no other code takes
+    a size modulo it; the trainers, inference and ``forward_generator`` call
+    that method."""
+
+    def test_divisor_read_only_in_require_divisible(self):
+        def divisor(node):
+            return isinstance(node, ast.Attribute) and node.attr == "divisor"
+
+        assert set(_owners(divisor)) == {"network.Generator.require_divisible"}
 
 
 class TestOneLayout:
@@ -1020,7 +1046,8 @@ INTEGER_SETTINGS = {
     "TrainConfig.epochs": lambda: TrainConfig(epochs=1.5),
     "TrainConfig.patches_per_epoch": lambda: TrainConfig(patches_per_epoch=4.0),
     "TrainConfig.patch_size": lambda: TrainConfig(patch_size=8.0),
-    "TrainConfig.d_steps_per_g_step": lambda: TrainConfig(d_steps_per_g_step=True),
+    "train_cycleqsm.d_steps_per_g_step": lambda: train_cycleqsm(
+        encoded_dataset(), *tiny_models(), TrainConfig(patch_size=4), d_steps_per_g_step=True),
     "TrainConfig.batch_size": lambda: TrainConfig(batch_size=1.5),
     "TrainConfig.seed": lambda: TrainConfig(seed=0.5),
     "build_generator.depth": lambda: build_generator(depth=2.0),
