@@ -124,8 +124,7 @@ def ssim3(truth: RealVolume, recon: RealVolume, mask: Mask | None = None,
         raise InputError(
             f"window {window} exceeds volume dims {truth.meta.dims}")
     require("k1 and k2", k1, k2, gt=0)
-    t_sel = truth.data[sel]
-    span = float(t_sel.max() - t_sel.min())
+    span = float(np.ptp(truth.data[sel]))
     require("truth's dynamic range over the mask", span, gt=0)
     c1 = (k1 * span) ** 2
     c2 = (k2 * span) ** 2
@@ -133,11 +132,14 @@ def ssim3(truth: RealVolume, recon: RealVolume, mask: Mask | None = None,
     t, r = truth.data, recon.data
     mu_t = _box_sums(t, window) / n3
     mu_r = _box_sums(r, window) / n3
-    var_t = _box_sums(t * t, window) / n3 - mu_t * mu_t
-    var_r = _box_sums(r * r, window) / n3 - mu_r * mu_r
+    # var_t + var_r and cov each live only until they are used, so at most
+    # four box-sum maps are held at once
+    var_sum = _box_sums(t * t, window) / n3 - mu_t * mu_t
+    var_sum += _box_sums(r * r, window) / n3 - mu_r * mu_r
     cov = _box_sums(t * r, window) / n3 - mu_t * mu_r
     num = (2.0 * mu_t * mu_r + c1) * (2.0 * cov + c2)
-    den = (mu_t * mu_t + mu_r * mu_r + c1) * (var_t + var_r + c2)
+    del cov
+    den = (mu_t * mu_t + mu_r * mu_r + c1) * (var_sum + c2)
     ssim_map = num / den
     h = window // 2
     centers = sel[tuple(slice(h, h + n) for n in ssim_map.shape)]

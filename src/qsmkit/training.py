@@ -7,8 +7,8 @@ The three optimisation loops (``train_cycleqsm``, ``train_uqsm``,
 ``step(update)`` closure that returns one log row and calls ``update(loss,
 name)`` per model update. The driver checks the Adam settings, owns each
 model's Adam state, the epoch and step loop, per-epoch checkpoints, the halt
-path and the CSV log; ``_update`` is the one backward/Adam/zero-grad
-sequence.
+path and the CSV log; its ``update`` is the one backward/Adam/zero-grad
+sequence, as ``_draw_batch`` is the one place a drawn batch becomes tensors.
 
 Determinism contract: every routine that draws randomness takes a seed or an
 explicit rng, consumes it in a documented order, and mutates parameters only
@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import locale
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,7 +52,7 @@ from .network import (
     save_checkpoint,
 )
 from .phantom import SimulatedCase
-from .volume import Mask, RealVolume, VolumeMeta, require_same_grid
+from .volume import Mask, RealVolume, VolumeMeta, require_same_grid, write_file
 
 log = logging.getLogger(__name__)
 
@@ -200,27 +201,13 @@ def _to_tensor(arr: np.ndarray) -> Tensor:
     return Tensor(arr[None].astype(np.float32))
 
 
-def _draw_batch(ds, cfg, rng, meta) -> list[list[np.ndarray]]:
-    """Sample cfg.batch_size patch groups and augment each on the patch grid
-    ``meta``: one [phase, magnitude, chi, mask] list of arrays per sample."""
+def _draw_batch(ds, cfg, rng, meta) -> list[list[Tensor]]:
+    """Sample cfg.batch_size patch groups, augment each on the patch grid
+    ``meta``; return the batch's phase, magnitude, chi and mask tensor lists."""
     field_p, chi_p, mask_p = sample_patches(ds, cfg, rng, cfg.batch_size)
-    return [augment([phase, mag, chi, mask], rng, meta)
-            for (phase, mag), chi, mask in zip(field_p, chi_p, mask_p)]
-
-
-def _tensor_batch(groups) -> list[list[Tensor]]:
-    """The phase, magnitude, chi and mask tensor lists of a drawn batch."""
+    groups = [augment([phase, mag, chi, mask], rng, meta)
+              for (phase, mag), chi, mask in zip(field_p, chi_p, mask_p)]
     return [[_to_tensor(a) for a in column] for column in zip(*groups)]
-
-
-def _update(loss: Tensor, model, state: AdamState, lr: float, beta1: float,
-            beta2: float, params: list[Tensor]) -> None:
-    """Backward from ``loss``, one Adam step on ``model``, then clear the
-    gradients of every tensor in ``params``."""
-    ad.backward(loss)
-    adam_step(model.params, {n: t.grad for n, t in model.params.items()},
-              state, lr, beta1, beta2)
-    ad.zero_grads(params)
 
 
 def csv_text(header: list[str], rows) -> str:
@@ -236,7 +223,8 @@ def csv_text(header: list[str], rows) -> str:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    Path(path).write_text(csv_text(header, rows), newline="")
+    data = csv_text(header, rows).encode(locale.getpreferredencoding(False))
+    write_file(path, lambda fh: fh.write(data))
 
 
 def write_log_csv(rows: list[LossReport], path, steps_per_epoch: int) -> None:
@@ -254,8 +242,9 @@ def _write_trace(trace: list[float], path) -> None:
 def _run(step, models: dict, opt: tuple, epochs: int, steps: int,
          checkpoint_dir=None, log_path=None, write_log=_write_trace) -> list:
     """Call ``step(update)`` ``steps`` times per epoch and collect what it
-    returns; ``update(loss, name)`` steps the model ``name`` with Adam at
-    ``opt = (lr, beta1, beta2)``, one AdamState per model.
+    returns; ``update(loss, name)`` runs backward, one Adam step on the model
+    ``name`` at ``opt = (lr, beta1, beta2)`` (one AdamState per model), then
+    clears every model's gradients.
 
     ``opt`` is checked before any file is touched. After each epoch every
     model is saved as ``<name>_epoch<NNN>.dbc1`` in checkpoint_dir, created
@@ -279,7 +268,11 @@ def _run(step, models: dict, opt: tuple, epochs: int, steps: int,
     states = {name: AdamState() for name in models}
 
     def update(loss: Tensor, name: str) -> None:
-        _update(loss, models[name], states[name], *opt, params)
+        model = models[name]
+        ad.backward(loss)
+        adam_step(model.params, {n: t.grad for n, t in model.params.items()},
+                  states[name], *opt)
+        ad.zero_grads(params)
 
     ad.zero_grads(params)
     # snaps[0]: parameters at the start of the last completed step;
@@ -347,14 +340,14 @@ def train_cycleqsm(ds: UnpairedDataset, gen: Generator, disc: Discriminator,
     kernel = build_dipole(meta)
 
     def step(update) -> LossReport:
-        b_b, mag_b, chi_b, mask_b = _tensor_batch(_draw_batch(ds, cfg, rng, meta))
+        b_b, mag_b, chi_b, mask_b = _draw_batch(ds, cfg, rng, meta)
         report, total_g, gan_d = total_generator_loss(
             chi_b, b_b, gen, disc, kernel, weights=weights, mag_batch=mag_b,
             mask_batch=mask_b, norm=norm, mask_losses=mask_losses)
         update(total_g, "gen")
         update(gan_d, "disc")
         for _ in range(d_steps_per_g_step - 1):
-            b_b, mag_b, chi_b, mask_b = _tensor_batch(_draw_batch(ds, cfg, rng, meta))
+            b_b, mag_b, chi_b, mask_b = _draw_batch(ds, cfg, rng, meta)
             fakes = [apply_generator(gen, b, m).detach()
                      for b, m in zip(b_b, mag_b)]
             update(_lsgan_d(disc, chi_b, fakes, mask_b), "disc")
@@ -476,10 +469,11 @@ def train_uqsm(ds: UnpairedDataset, gen: Generator, cfg: TrainConfig,
     kernel = build_dipole(meta)
 
     def step(update) -> float:
+        b_b, mag_b, _, mask_b = _draw_batch(ds, cfg, rng, meta)
         total = _batch_mean([
-            dip_loss(forward_generator(gen, _to_tensor(phase), _to_tensor(mag)), phase,
-                     mag * mask, kernel, lam=lam)
-            for phase, mag, _, mask in _draw_batch(ds, cfg, rng, meta)])
+            dip_loss(forward_generator(gen, b, m), b.data[0], m.data[0] * k.data[0],
+                     kernel, lam=lam)
+            for b, m, k in zip(b_b, mag_b, mask_b)])
         update(total, "gen")
         return total.item()
 

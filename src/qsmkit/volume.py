@@ -1,5 +1,7 @@
 """3D volume containers, the one grid-equality check, the forward-difference
-operator pair, DBV1 file I/O and the framing it shares with DBC1 checkpoints.
+operator pair, DBV1 file I/O, the framing it shares with DBC1 checkpoints and
+the package's one file writer, which replaces a file only once the new one is
+complete.
 
 Arrays are indexed ``[x, y, z]`` with shape ``(nx, ny, nz)``. Every volume is
 C-ordered in memory (``RealVolume`` converts it); a file stays x-fastest on
@@ -14,6 +16,7 @@ gradient-difference losses) all use them.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -166,17 +169,39 @@ def forward_diff_adjoint(arr: np.ndarray, axis: int, out: np.ndarray | None = No
     return out
 
 
+def write_file(path: str | Path, write) -> None:
+    """Call ``write(fh)`` on a new binary file and put it in place of ``path``
+    only once ``write`` returns: the file is a temporary one in the same
+    directory, which ``os.replace`` then moves over ``path``. On any error the
+    temporary file is removed and ``path`` keeps its previous contents."""
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.urandom(6).hex()}.tmp")
+    try:
+        fh = open(tmp, "xb")
+    except OSError as exc:
+        exc.filename = os.fspath(path)  # name the target, not the temporary file
+        raise
+    try:
+        with fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink()
+        raise
+
+
 def write_framed(path: str | Path, header: dict, blocks) -> None:
     """Write the DBV1/DBC1 framing: the header as one JSON line, then each
     array in ``blocks`` (at least 1-d) as raw little-endian f32 in C order,
     cast in slabs along its first axis of about ``SLAB_BYTES`` each."""
-    with open(path, "wb") as fh:
+    def write(fh) -> None:
         fh.write(json.dumps(header).encode("utf-8"))
         fh.write(b"\n")
         for block in blocks:
             rows = max(1, SLAB_BYTES * len(block) // max(1, 4 * block.size))
             for i in range(0, len(block), rows):
                 fh.write(np.ascontiguousarray(block[i:i + rows], dtype="<f4"))
+
+    write_file(path, write)
 
 
 def read_framed(path: str | Path, magic: str, fields, parse):

@@ -14,7 +14,6 @@ import time
 import numpy as np
 import pytest
 
-from qsmkit import autodiff as ad
 from qsmkit.autodiff import Tensor
 from qsmkit.classical import (
     MediParams,

@@ -1,5 +1,5 @@
 """Seeded outputs hashed against a committed table: a change that moves the
-bits of a training step, a MEDI or CGLS solve, stitched inference, a few
+bits of an adversarial or field-only training step, a MEDI or CGLS solve, stitched inference, a few
 deep-prior iterations or the gradient audit's report fails here, even when
 it moves them the same way on every run.
 
@@ -21,13 +21,14 @@ from qsmkit.classical import MediParams, build_medi_weights, cg_least_squares, m
 from qsmkit.cli import main
 from qsmkit.dipole import build_dipole
 from qsmkit.network import build_discriminator, build_generator
-from qsmkit.phantom import make_random_piecewise, simulate_case
+from qsmkit.phantom import SimulatedCase, make_random_piecewise, simulate_case
 from qsmkit.training import (
     TrainConfig,
     UnpairedDataset,
     infer_stitched,
     optimize_dip,
     train_cycleqsm,
+    train_uqsm,
 )
 from qsmkit.volume import Mask, RealVolume, VolumeMeta
 
@@ -53,6 +54,7 @@ TABLE = {
         "train_disc": "3fc3010aa2455ad6", "medi": "d13eed23bd83cf06",
         "cgls": "630c65afd43ba18c", "infer": "8bf17667d4fe3123",
         "dip": "7881ad14686421fc", "gradcheck": "3987ee4189a5e38c",
+        "uqsm": "1c9d5f279867f38c",
     },
 }
 
@@ -91,6 +93,27 @@ def test_train_steps():
     check({"train_rows": sha(np.array([r.row() for r in rows])),
            "train_gen": sha(*(p.data for p in gen.params.values())),
            "train_disc": sha(*(p.data for p in disc.params.values()))})
+
+
+def test_uqsm_steps():
+    """Four field-only steps at patch 8, batch 2: the objective trace and
+    every parameter. Each magnitude varies and each mask holds zeros, so the
+    data term's weight is exercised."""
+    meta = iso(12)
+    kernel = build_dipole(meta)
+    cases = []
+    for i in range(2):
+        chi = make_random_piecewise(meta, 4, seed=20 + i)
+        mask = Mask(meta, (np.indices(meta.dims).sum(0) < 18 + i).astype(float))
+        field = simulate_case(chi, mask, 0.002, i, kernel).field
+        magnitude = RealVolume(meta, 1.0 + np.abs(make_random_piecewise(meta, 3, seed=30 + i).data))
+        cases.append(SimulatedCase(chi, field, magnitude, mask))
+    chis = tuple(make_random_piecewise(meta, 4, seed=40 + i) for i in range(2))
+    gen = build_generator(depth=3, base_channels=8, seed=0)
+    cfg = TrainConfig(epochs=1, patches_per_epoch=8, patch_size=8, batch_size=2, lr=1e-3,
+                      seed=5)
+    _, trace = train_uqsm(UnpairedDataset(tuple(cases), chis), gen, cfg)
+    check({"uqsm": sha(np.array(trace), *(p.data for p in gen.params.values()))})
 
 
 def test_medi_and_cgls():

@@ -783,8 +783,9 @@ class TestUqsm:
 
 
 class TestOneRunDriver:
-    """The optimisation loop is written once: only ``_update`` runs backward
-    and Adam, and only the driver ``_run`` catches NumericalError."""
+    """The optimisation loop is written once: only the driver ``_run`` (its
+    ``update`` closure and its initial reset) runs backward, Adam and the
+    gradient reset, and only it catches NumericalError."""
 
     def owners(self, match):
         tree = ast.parse(Path(tr.__file__).read_text())
@@ -798,10 +799,10 @@ class TestOneRunDriver:
     def test_backward_and_adam_only_in_update(self):
         def call(node):
             return (isinstance(node, ast.Call)
-                    and ast.unparse(node.func) in ("adam_step", "ad.backward",
-                                                   "backward"))
+                    and ast.unparse(node.func).rsplit(".", 1)[-1]
+                    in ("adam_step", "backward", "zero_grads"))
 
-        assert self.owners(call) == ["_update", "_update"]
+        assert self.owners(call) == ["_run"] * 4
 
     def test_numerical_error_caught_only_in_driver(self):
         def handler(node):
@@ -813,9 +814,9 @@ class TestOneRunDriver:
 
 class TestOneWriterPerFormat:
     """Each file format has one write site: every file write in the package
-    happens in the DBV1/DBC1 framed writer or the CSV writer, payloads are
-    decoded only in the framed reader, and rows are formatted only in
-    ``csv_text``."""
+    happens in ``volume.write_file``, which the DBV1/DBC1 framed writer and
+    the CSV writer both call, payloads are decoded only in the framed
+    reader, and rows are formatted only in ``csv_text``."""
 
     def owners(self, match):
         found = []
@@ -832,7 +833,8 @@ class TestOneWriterPerFormat:
 
     def test_file_writes_only_in_the_two_writers(self):
         def raw_write(node):
-            if (self.callee(node) in ("write_bytes", "tofile")
+            if (self.callee(node) in ("write_bytes", "write_text", "tofile")
+                    or ast.unparse(node.func) in ("os.replace", "os.rename")
                     or ast.unparse(node.func).startswith("np.save")):
                 return True
             modes = node.args[1:2] + [k.value for k in node.keywords
@@ -841,11 +843,11 @@ class TestOneWriterPerFormat:
                 not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
                 for m in modes)
 
-        def text_write(node):
-            return self.callee(node) == "write_text"
+        def write_call(node):
+            return self.callee(node) == "write_file"
 
-        assert self.owners(raw_write) == ["volume.write_framed"]
-        assert self.owners(text_write) == ["training.write_csv"]
+        assert self.owners(raw_write) == ["volume.write_file", "volume.write_file"]
+        assert self.owners(write_call) == ["training.write_csv", "volume.write_framed"]
 
     def test_payload_decoded_only_in_framed_reader(self):
         def decode(node):

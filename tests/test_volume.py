@@ -1,4 +1,7 @@
 import json
+import os
+import re
+import stat
 import tracemalloc
 
 import numpy as np
@@ -11,7 +14,8 @@ from qsmkit.errors import (
     NonFinitePayloadError,
     PayloadSizeError,
 )
-from qsmkit.network import build_discriminator, build_generator, save_checkpoint
+from qsmkit.network import build_discriminator, build_generator, load_checkpoint, save_checkpoint
+from qsmkit.training import write_csv
 from qsmkit.volume import (
     Mask,
     RealVolume,
@@ -372,6 +376,68 @@ class TestSlabbedWriter:
     def test_dbc1_bytes(self, monkeypatch, tmp_path, model):
         slabs, whole = self.written(monkeypatch, tmp_path, network, save_checkpoint, model)
         assert slabs == whole
+
+
+class FullDisk:
+    """A file that accepts ``budget`` bytes, writes part of the chunk that
+    crosses it, then raises ENOSPC: a write interrupted mid-payload."""
+
+    def __init__(self, fh, budget: int):
+        self.fh, self.budget = fh, budget
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, chunk) -> None:
+        data = memoryview(chunk).cast("B")
+        if len(data) > self.budget:
+            self.fh.write(data[:self.budget])
+            raise OSError(28, "No space left on device")
+        self.budget -= len(data)
+        self.fh.write(data)
+
+
+class TestInterruptedWrite:
+    """A write that fails part way leaves the previous DBV1, DBC1 or CSV file
+    byte-equal and readable, and no temporary file beside it."""
+
+    CASES = {
+        "dbv1": (write_volume, read_volume, rand_volume(seed=1), rand_volume(seed=2)),
+        "dbc1": (save_checkpoint, load_checkpoint, build_generator(depth=2, seed=1),
+                 build_generator(depth=2, seed=2)),
+        "csv": (lambda rows, p: write_csv(p, ["a", "b"], rows), lambda p: p.read_text(),
+                [(i, 0.5 * i) for i in range(50)], [(i, 0.25 * i) for i in range(60)]),
+    }
+
+    @pytest.mark.parametrize("fmt", CASES)
+    @pytest.mark.parametrize("share", [0.0, 0.5])  # nothing written, or half the file
+    def test_previous_file_survives(self, monkeypatch, tmp_path, fmt, share):
+        write, read, old, new = self.CASES[fmt]
+        path = tmp_path / f"out.{fmt}"
+        write(old, path)
+        before = path.read_bytes()
+        budget = int(share * len(before))
+        monkeypatch.setattr(volume, "open",
+                            lambda f, mode: FullDisk(open(f, mode), budget), raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            write(new, path)
+        assert path.read_bytes() == before
+        read(path)
+        assert os.listdir(tmp_path) == [path.name]
+
+    def test_missing_directory_names_the_target(self, tmp_path):
+        path = tmp_path / "nodir" / "v.dbv"
+        with pytest.raises(FileNotFoundError, match=re.escape(f"'{path}'") + "$"):
+            write_volume(rand_volume(), path)
+
+    def test_new_file_has_default_permissions(self, tmp_path):
+        write_volume(rand_volume(), tmp_path / "v.dbv")
+        (tmp_path / "plain").touch()
+        mode = [stat.S_IMODE(os.stat(tmp_path / n).st_mode) for n in ("v.dbv", "plain")]
+        assert mode[0] == mode[1]
 
 
 class TestDBV1Memory:
