@@ -4,7 +4,9 @@ All three consume a demodulated field volume plus a precomputed kernel and
 return susceptibility estimates; none of them touch the learned machinery.
 MEDI and CGLS allocate their work volumes once per solve, update them in
 place, and release them before the result volume is built; MEDI's edge
-masks are held as booleans, an eighth of a float64 volume each.
+masks are held as booleans, an eighth of a float64 volume each. Unweighted
+CGLS iterates in the half spectrum, where H is diagonal, and takes its
+residual norms by Parseval.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dipole import DipoleKernel, apply_spectrum, half_spectrum_buffer
+from .dipole import (DipoleKernel, _from_half_spectrum, _half_spectrum_sqnorm, _to_half_spectrum,
+                     apply_spectrum, half_spectrum_buffer)
 from .errors import InputError, NumericalError, require
 from .volume import RealVolume, forward_diff, forward_diff_adjoint, require_same_grid
 
@@ -207,6 +210,12 @@ def cg_least_squares(field: RealVolume, kernel: DipoleKernel,
     Works on the normal equations implicitly (never forms H^T W^2 H). The
     returned residual list holds ||W(b - Hx_k)||_2, which is non-increasing
     because each CG step minimizes it over a nested Krylov subspace.
+
+    Without weights the recursion runs in the half spectrum: b is transformed
+    once, each iteration multiplies by the real half spectrum of H and takes
+    norms by Parseval, and the iterate is transformed back at the end. W
+    does not commute with H, so a weighted solve iterates on real volumes
+    with two spectral applies per iteration.
     """
     require("iters", iters, ge=1, integer=True)
     require("tol", tol, ge=0)
@@ -219,32 +228,65 @@ def cg_least_squares(field: RealVolume, kernel: DipoleKernel,
 def _cgls_solve(b: np.ndarray, spec: np.ndarray, wd: np.ndarray | None, iters: int,
                 tol: float) -> tuple[np.ndarray, list[float]]:
     """cg_least_squares' iteration on bare arrays: (iterate, residuals)."""
+    if wd is not None:
+        work = half_spectrum_buffer(b.shape)
 
-    def weigh(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """W v into ``out``; unweighted, ``v`` itself (1.0 * v == v)."""
-        return v if wd is None else np.multiply(wd, v, out=out)
+        def a_fwd(v: np.ndarray, out: np.ndarray) -> np.ndarray:  # W H v
+            return np.multiply(wd, apply_spectrum(v, spec, out=out, work=work), out=out)
 
-    work = half_spectrum_buffer(b.shape)
-    x = np.zeros(b.shape)
-    r = b.copy() if wd is None else wd * b
-    s, q, tmp = (np.empty_like(r) for _ in range(3))
+        def a_adj(v: np.ndarray, out: np.ndarray) -> np.ndarray:  # H W v
+            # apply_spectrum reads all of its input before it writes ``out``
+            return apply_spectrum(np.multiply(wd, v, out=out), spec, out=out, work=work)
 
-    apply_spectrum(weigh(r, tmp), spec, out=s, work=work)  # s = A^T r
+        def sqnorm(v: np.ndarray, tmp: np.ndarray) -> float:
+            return float(np.sum(np.multiply(v, v, out=tmp)))
+
+        return _cgls(wd * b, a_fwd, a_adj, sqnorm, lambda v: float(np.linalg.norm(v)),
+                     iters, tol)
+
+    n = b.shape[-1]
+    d = spec[..., :n // 2 + 1]
+
+    def a_diag(v: np.ndarray, out: np.ndarray) -> np.ndarray:  # D v, so A = A^T
+        return np.multiply(d, v, out=out)
+
+    def sqnorm(v: np.ndarray, tmp: np.ndarray) -> float:  # needs no scratch
+        return _half_spectrum_sqnorm(v, n)
+
+    x, residuals = _cgls(_to_half_spectrum(b), a_diag, a_diag, sqnorm,
+                         lambda v: float(np.sqrt(_half_spectrum_sqnorm(v, n))), iters, tol)
+    return _from_half_spectrum(x, n), residuals
+
+
+def _cgls(r: np.ndarray, a_fwd, a_adj, sqnorm, norm, iters: int,
+          tol: float) -> tuple[np.ndarray, list[float]]:
+    """CGLS for min ||r - A x|| on vectors of ``r``'s kind, updating ``r``
+    in place: (x, [||r - A x_k||]).
+
+    ``a_fwd(v, out)`` and ``a_adj(v, out)`` put A v and A^T v in ``out``;
+    ``sqnorm(v, tmp)`` is ||v||^2 with scratch ``tmp``, ``norm(v)`` is ||v||.
+    Five vectors are held: q = A p shares s's buffer, as it is last read
+    before s is rebuilt.
+    """
+    x = np.zeros_like(r)
+    s, tmp = np.empty_like(r), np.empty_like(r)
+    a_adj(r, s)
     p = s.copy()
-    gamma = float(np.sum(np.multiply(s, s, out=tmp)))
-    residuals = [float(np.linalg.norm(r))]
+    q = s
+    gamma = sqnorm(s, tmp)
+    residuals = [norm(r)]
     r0 = residuals[0]
     for _ in range(iters):
-        weigh(apply_spectrum(p, spec, out=q, work=work), q)  # q = A p
-        qq = float(np.sum(np.multiply(q, q, out=tmp)))
+        a_fwd(p, q)
+        qq = sqnorm(q, tmp)
         if qq == 0.0 or gamma == 0.0:
             break
         alpha = gamma / qq
         x += np.multiply(alpha, p, out=tmp)
         r -= np.multiply(alpha, q, out=tmp)
-        residuals.append(float(np.linalg.norm(r)))
-        apply_spectrum(weigh(r, tmp), spec, out=s, work=work)
-        gamma_new = float(np.sum(np.multiply(s, s, out=tmp)))
+        residuals.append(norm(r))
+        a_adj(r, s)
+        gamma_new = sqnorm(s, tmp)
         if not np.isfinite(gamma_new):
             raise NumericalError("CGLS produced non-finite iterates")
         if r0 > 0 and residuals[-1] <= tol * r0:

@@ -5,13 +5,15 @@ sample pinned to 0 (demodulated field has no DC). Frequencies are physical:
 ``k_i = f_i / voxel_size_i`` with f the standard FFT frequency grid, so
 anisotropic voxels and oblique b0 produce the correct magic-angle cone.
 
-``apply_spectrum`` is the one k-space multiply in the package: the forward
-field, the naive and TKD inverses, the classical solvers and the autodiff
-``spectral_filter`` all go through it. A ``DipoleKernel`` only holds a real
-spectrum equal to its own k -> -k mirror, so its product with the transform
-of a real field is Hermitian and a real FFT over the half spectrum suffices.
-The apply runs in one complex half-spectrum buffer, which an iterative solver
-allocates once (``half_spectrum_buffer``) and passes to every call.
+``apply_spectrum`` is the one k-space multiply of a real volume in the
+package: the forward field, the naive and TKD inverses, MEDI, weighted CGLS
+and the autodiff ``spectral_filter`` all go through it. A ``DipoleKernel``
+only holds a real spectrum equal to its own k -> -k mirror, so its product
+with the transform of a real field is Hermitian and a real FFT over the half
+spectrum suffices. The apply runs in one complex half-spectrum buffer, which
+an iterative solver allocates once (``half_spectrum_buffer``) and passes to
+every call. Its two FFT passes, to and from the half spectrum, are the only
+transforms in the package; unweighted CGLS runs each once per solve.
 """
 
 from __future__ import annotations
@@ -90,22 +92,44 @@ def apply_spectrum(data: np.ndarray, spectrum: np.ndarray, out: np.ndarray | Non
     only its half along the last axis is read. Leading axes (channels) share
     the spectrum; the dtype follows NumPy's promotion of data and spectrum.
 
-    The passes are those of ``irfftn(half * rfftn(data))``, in its axis order,
-    run in one complex buffer: ``work`` (from ``half_spectrum_buffer``, of
-    ``rfftn(data)``'s dtype) if given, else a fresh one. The product is formed
-    in place unless promotion widens it (float32 data with a float64
-    spectrum). The result goes to ``out`` if given, which is returned.
+    The passes are those of ``irfftn(half * rfftn(data))``, in its axis order
+    (``_to_half_spectrum``, then ``_from_half_spectrum``), run in one complex
+    buffer: ``work`` (from ``half_spectrum_buffer``, of ``rfftn(data)``'s
+    dtype) if given, else a fresh one. The product is formed in place unless
+    promotion widens it (float32 data with a float64 spectrum). The result
+    goes to ``out`` if given, which is returned.
     """
     half = spectrum[..., :data.shape[-1] // 2 + 1]
-    buf = np.fft.rfftn(data, axes=(-3, -2, -1), out=work)
+    buf = _to_half_spectrum(data, work)
     if np.result_type(buf, half) == buf.dtype:
         np.multiply(buf, half, out=buf)
     else:
         buf = half * buf
+    return _from_half_spectrum(buf, data.shape[-1], out)
+
+
+def _to_half_spectrum(data: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """rfftn of ``data`` over the last three axes, into ``work`` if given."""
+    return np.fft.rfftn(data, axes=(-3, -2, -1), out=work)
+
+
+def _from_half_spectrum(buf: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The real volume, last axis of length ``n``, whose half spectrum is
+    ``buf``; ``buf`` is overwritten, and the result goes to ``out`` if given."""
     # irfftn transforms its complex axes first to last; ifftn runs its axes
     # last to first, so (-2, -3) keeps that order, and with it the bytes
     np.fft.ifftn(buf, axes=(-2, -3), out=buf)
-    return np.fft.irfft(buf, n=data.shape[-1], axis=-1, out=out)
+    return np.fft.irfft(buf, n=n, axis=-1, out=out)
+
+
+def _half_spectrum_sqnorm(buf: np.ndarray, n: int) -> float:
+    """||x||^2 of the real volume x, last axis of length ``n``, whose half
+    spectrum is ``buf``, by Parseval: each stored bin counts twice unless it
+    is its own k -> -k partner (last-axis bin 0 and, n even, n/2)."""
+    unpaired = (0,) if n % 2 else (0, -1)
+    twice = 2.0 * np.vdot(buf, buf).real
+    once = sum(np.vdot(buf[..., i], buf[..., i]).real for i in unpaired)
+    return float((twice - once) / (buf.shape[-3] * buf.shape[-2] * n))
 
 
 def forward_field(chi: RealVolume, kernel: DipoleKernel) -> RealVolume:

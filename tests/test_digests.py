@@ -52,7 +52,7 @@ TABLE = {
     " | OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1": {
         "train_rows": "dda51de23af8493f", "train_gen": "c5bd660558d77c56",
         "train_disc": "3fc3010aa2455ad6", "medi": "d13eed23bd83cf06",
-        "cgls": "630c65afd43ba18c", "infer": "8bf17667d4fe3123",
+        "cgls": "5ede9682e693ebe4", "infer": "8bf17667d4fe3123",
         "dip": "7881ad14686421fc", "gradcheck": "3987ee4189a5e38c",
         "uqsm": "1c9d5f279867f38c",
     },

@@ -132,30 +132,49 @@ class TestApplySpectrum:
         assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
 
     def test_only_apply_spectrum_transforms(self):
-        # One spectral operator: every transform in the package is in
-        # apply_spectrum, as the rfftn, ifftn and irfft passes of its one
-        # half-spectrum buffer.
-        transforms = {"fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
-                      "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft"}
-        found = []
-        for path in sorted(Path(qsmkit.__file__).parent.glob("*.py")):
-            tree = ast.parse(path.read_text(), filename=str(path))
-            owner = {}  # node -> outermost enclosing function
-            for fn in ast.walk(tree):
-                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    for node in ast.walk(fn):
-                        owner.setdefault(id(node), fn.name)
-            for node in ast.walk(tree):
-                if (isinstance(node, ast.Attribute) and node.attr in transforms
-                        and isinstance(node.value, ast.Attribute) and node.value.attr == "fft"):
-                    found.append((path.stem, owner.get(id(node), "<module>"), ast.unparse(node)))
-                elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                    names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
-                    if any("fft" in n for n in names):
-                        found.append((path.stem, "import", ast.unparse(node)))
-        assert sorted(found) == [("dipole", "apply_spectrum", "np.fft.ifftn"),
-                                 ("dipole", "apply_spectrum", "np.fft.irfft"),
-                                 ("dipole", "apply_spectrum", "np.fft.rfftn")]
+        # One spectral operator: every transform in the package is one of
+        # dipole's two passes over a half-spectrum buffer, which
+        # apply_spectrum and unweighted CGLS share.
+        found = [(path.stem,) + use
+                 for path in sorted(Path(qsmkit.__file__).parent.glob("*.py"))
+                 for use in transform_uses(path.read_text())]
+        assert sorted(found) == [("dipole", "_from_half_spectrum", "np.fft.ifftn"),
+                                 ("dipole", "_from_half_spectrum", "np.fft.irfft"),
+                                 ("dipole", "_to_half_spectrum", "np.fft.rfftn")]
+
+
+TRANSFORMS = {"fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+              "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft"}
+
+
+def transform_uses(source: str) -> list[tuple[str, str]]:
+    """(outermost enclosing function, expression) of every FFT transform a
+    module names, and of every import naming an fft module."""
+    tree = ast.parse(source)
+    owner = {}  # node -> outermost enclosing function
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                owner.setdefault(id(node), fn.name)
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in TRANSFORMS
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "fft"):
+            found.append((owner.get(id(node), "<module>"), ast.unparse(node)))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            if any("fft" in n for n in names):
+                found.append(("import", ast.unparse(node)))
+    return found
+
+
+def test_transform_uses_are_found():
+    source = ("import numpy.fft\nfrom numpy import fft as f\nfrom scipy.fft import rfftn\n"
+              "def g(x):\n    def h(y):\n        return numpy.fft.rfftn(y)\n"
+              "    return np.fft.fftfreq(4), np.fft.ifft(x)\n")
+    assert sorted(transform_uses(source)) == [
+        ("g", "np.fft.ifft"), ("g", "numpy.fft.rfftn"), ("import", "from numpy import fft as f"),
+        ("import", "from scipy.fft import rfftn"), ("import", "import numpy.fft")]
 
 
 def apply_spectrum_allocating(data: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
