@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dipole import apply_spectrum, k_mirror
+from .dipole import DipoleKernel, apply_spectrum
 from .errors import InputError, NumericalError, require
 from .volume import forward_diff, forward_diff_adjoint
 
@@ -279,19 +279,15 @@ def shift_diff(a: Tensor, axis: int) -> Tensor:
                  lambda g: (forward_diff_adjoint(g, axis + 1),))
 
 
-def spectral_filter(a: Tensor, spectrum: np.ndarray) -> Tensor:
-    """Multiply by a real, even spectrum in k-space, per channel.
-
-    Evenness makes the operator self-adjoint on real fields, so the backward
-    pass reuses the forward transform, and the half-spectrum apply needs it:
-    a spectrum unequal to its ``k_mirror`` is rejected.
+def spectral_filter(a: Tensor, kernel: DipoleKernel) -> Tensor:
+    """Multiply by the kernel's spectrum in k-space, per channel, in the
+    tensor's precision. The spectrum is even (``DipoleKernel`` checks it), so
+    the operator is self-adjoint on real fields and the backward pass reuses
+    the forward transform; the tape holds the kernel's spectrum, not a copy.
     """
-    if spectrum.shape != a.data.shape[1:]:
-        raise InputError(
-            f"spectrum shape {spectrum.shape} does not match spatial {a.data.shape[1:]}")
-    if not np.array_equal(spectrum, k_mirror(spectrum)):
-        raise InputError("spectrum is not even under k -> -k")
-    spec = spectrum.astype(a.data.dtype)  # so the result keeps the data's dtype
+    if a.data.shape[1:] != kernel.meta.dims:
+        raise InputError(f"tensor grid {a.data.shape[1:]} does not match kernel {kernel.meta.dims}")
+    spec = kernel.spectrum
     return _node(apply_spectrum(a.data, spec), (a,), lambda g: (apply_spectrum(g, spec),))
 
 

@@ -664,7 +664,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"qsmkit: numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (QsmError, OSError) as exc:
+    except (QsmError, OSError, MemoryError) as exc:
         print(f"qsmkit: error: {exc}", file=sys.stderr)
         return 1
 

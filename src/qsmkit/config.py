@@ -39,6 +39,6 @@ def read_config_items(path: str | Path) -> list[tuple[str, str]]:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read config file {p}: {exc}") from exc
     return parse_config_items(text, source=str(p))

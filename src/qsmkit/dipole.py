@@ -6,14 +6,14 @@ sample pinned to 0 (demodulated field has no DC). Frequencies are physical:
 anisotropic voxels and oblique b0 produce the correct magic-angle cone.
 
 ``apply_spectrum`` is the one k-space multiply of a real volume in the
-package: the forward field, the naive and TKD inverses, MEDI, weighted CGLS
-and the autodiff ``spectral_filter`` all go through it. A ``DipoleKernel``
-only holds a real spectrum equal to its own k -> -k mirror, so its product
-with the transform of a real field is Hermitian and a real FFT over the half
-spectrum suffices. The apply runs in one complex half-spectrum buffer, which
-an iterative solver allocates once (``half_spectrum_buffer``) and passes to
-every call. Its two FFT passes, to and from the half spectrum, are the only
-transforms in the package; unweighted CGLS runs each once per solve.
+package, and it runs in the data's precision: the forward field, the naive
+and TKD inverses, MEDI, weighted CGLS and the autodiff ``spectral_filter``
+(which takes a ``DipoleKernel``) all go through it. Evenness is checked once,
+when a ``DipoleKernel`` is built, so its product with the transform of a real
+field is Hermitian and a real FFT over the half spectrum suffices. The apply
+runs in one complex half-spectrum buffer, which an iterative solver allocates
+once (``half_spectrum_buffer``) and passes to every call. Its two FFT passes,
+to and from the half spectrum, are the only transforms in the package.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ SPECTRUM_MAX = 1.0 / 3.0
 
 @dataclass(frozen=True)
 class DipoleKernel:
-    """Real spectrum of the unit dipole on a concrete grid, exactly even."""
+    """Any exactly even real spectrum on a grid; ``build_dipole`` makes the unit dipole's."""
 
     meta: VolumeMeta
     spectrum: np.ndarray
@@ -89,22 +89,18 @@ def apply_spectrum(data: np.ndarray, spectrum: np.ndarray, out: np.ndarray | Non
     """real(ifft(spectrum * fft(data))) over the last three axes, by real FFT.
 
     ``spectrum`` must equal its ``k_mirror`` (every ``DipoleKernel`` does):
-    only its half along the last axis is read. Leading axes (channels) share
-    the spectrum; the dtype follows NumPy's promotion of data and spectrum.
-
-    The passes are those of ``irfftn(half * rfftn(data))``, in its axis order
-    (``_to_half_spectrum``, then ``_from_half_spectrum``), run in one complex
-    buffer: ``work`` (from ``half_spectrum_buffer``, of ``rfftn(data)``'s
-    dtype) if given, else a fresh one. The product is formed in place unless
-    promotion widens it (float32 data with a float64 spectrum). The result
-    goes to ``out`` if given, which is returned.
+    only its half along the last axis is read, in the data's precision (a
+    view when that is its own), so the result has the data's dtype. Leading
+    axes (channels) share the spectrum. The passes are those of
+    ``irfftn(half * rfftn(data))``, in its axis order (``_to_half_spectrum``,
+    then ``_from_half_spectrum``), run in one complex buffer that takes the
+    product in place: ``work`` (from ``half_spectrum_buffer``, of
+    ``rfftn(data)``'s dtype) if given, else a fresh one. The result goes to
+    ``out`` if given, which is returned.
     """
-    half = spectrum[..., :data.shape[-1] // 2 + 1]
+    half = spectrum[..., :data.shape[-1] // 2 + 1].astype(data.dtype, copy=False)
     buf = _to_half_spectrum(data, work)
-    if np.result_type(buf, half) == buf.dtype:
-        np.multiply(buf, half, out=buf)
-    else:
-        buf = half * buf
+    np.multiply(buf, half, out=buf)
     return _from_half_spectrum(buf, data.shape[-1], out)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from . import losses as ls
 from .autodiff import Tensor, check_gradients
-from .dipole import apply_spectrum, build_dipole, k_mirror
+from .dipole import DipoleKernel, apply_spectrum, build_dipole, k_mirror
 from .errors import InputError, require
 from .volume import VolumeMeta
 
@@ -134,10 +134,10 @@ def build_case(op: str, rng: np.random.Generator,
 
     if op == "spectral_filter":
         dims = (4, 6, 4)
-        spec = _even_spectrum(rng, dims)
+        kernel = DipoleKernel(VolumeMeta(dims, (1.0, 1.0, 1.0)), _even_spectrum(rng, dims))
         a = Tensor(_u(rng, (2,) + dims, -1.0, 1.0, dtype), requires_grad=True)
         w2 = _u(rng, (2,) + dims, -1.0, 1.0, dtype)
-        return lambda: _wsum(ad.spectral_filter(a, spec), w2), [a]
+        return lambda: _wsum(ad.spectral_filter(a, kernel), w2), [a]
 
     if op in _CONV:
         x_shape, w_shape, out_shape, stride, pad = _CONV[op]

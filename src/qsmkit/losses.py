@@ -127,13 +127,13 @@ def _roundtrips(chi_batch, b_batch, gen, kernel, mag_batch):
     chi_cycle = []
     for chi in chi_batch:
         _check_patch(chi, kernel, "chi patch")
-        h_chi = ad.spectral_filter(chi, kernel.spectrum)
+        h_chi = ad.spectral_filter(chi, kernel)
         chi_cycle.append((chi, apply_generator(gen, h_chi, None)))
     fakes, b_cycle = [], []
     for b, mag in zip(b_batch, mag_batch or [None] * len(b_batch)):
         _check_patch(b, kernel, "field patch")
         fakes.append(apply_generator(gen, b, mag))
-        b_cycle.append((b, ad.spectral_filter(fakes[-1], kernel.spectrum)))
+        b_cycle.append((b, ad.spectral_filter(fakes[-1], kernel)))
     return (chi_cycle, b_cycle), fakes
 
 
@@ -260,7 +260,7 @@ def dip_loss(chi: Tensor, b, weight, kernel: DipoleKernel,
     dims = kernel.meta.dims
     b_arr = _as_array(b, dims, "field")[None].astype(np.float64)
     w_arr = _as_array(weight, dims, "weight")[None].astype(np.float64)
-    h_chi = ad.spectral_filter(chi, kernel.spectrum)
+    h_chi = ad.spectral_filter(chi, kernel)
     delta = ad.sub(h_chi, Tensor(b_arr, dtype=h_chi.dtype))
     dist = ad.sqrt(2.0 - ad.cos(delta) * 2.0 + DIP_EPS)
     data = ad.tmean(ad.mul(dist, Tensor(w_arr, dtype=h_chi.dtype)))

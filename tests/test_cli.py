@@ -294,6 +294,34 @@ class TestPhantomSpecErrors:
         assert "s.cfg:2" in capsys.readouterr().err
 
 
+class TestInputsOutsideTheLibrary:
+    """Faults NumPy or Python raise on an input end as ``qsmkit: error:``
+    with exit 1 and write nothing."""
+
+    @pytest.mark.parametrize("command", ["phantom", "dip"])
+    def test_non_utf8_file_names_it(self, command, sphere_files, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"\xff\xfedims = 8 8 8\n")
+        out = tmp_path / "out.dbv"
+        argv = {"phantom": ["phantom", "--spec", str(bad), "--out", str(out)],
+                "dip": ["dip", "--config", str(bad), "--field", sphere_files["field"],
+                        "--out", str(out), "--trace", str(tmp_path / "t.csv")]}[command]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qsmkit: error: ") and str(bad) in err
+        assert not out.exists() and not (tmp_path / "t.csv").exists()
+
+    def test_impossible_grid_is_an_input_error(self, tmp_path, capsys):
+        # 8e15 bytes is more than the 128 TiB a Linux process can map, so
+        # the allocation is refused at once
+        spec = write(tmp_path / "s.cfg", "dims = 100000 100000 100000\nsphere = 1 1 1 1 0.1\n")
+        out = tmp_path / "c.dbv"
+        assert cli.main(["phantom", "--spec", spec, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qsmkit: error: ") and "allocate" in err
+        assert not out.exists()
+
+
 class TestExitCodes:
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as e:

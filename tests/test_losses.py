@@ -7,7 +7,7 @@ import pytest
 
 from qsmkit import autodiff as ad
 from qsmkit.autodiff import Tensor
-from qsmkit.dipole import apply_spectrum, build_dipole
+from qsmkit.dipole import DipoleKernel, apply_spectrum, build_dipole
 from qsmkit.errors import InputError
 from qsmkit.losses import (
     LossReport,
@@ -80,9 +80,10 @@ class TestCycle:
         support = np.abs(kernel.spectrum) > 0.15
         assert support.any() and not support.all()
         inv_spec = np.where(support, 1.0 / np.where(support, kernel.spectrum, 1.0), 0.0)
+        inv = DipoleKernel(META, inv_spec)
 
         def oracle_gen(phase, magnitude):
-            return ad.spectral_filter(phase, inv_spec)
+            return ad.spectral_filter(phase, inv)
 
         def project(x):
             return np.real(np.fft.ifftn(np.fft.fftn(x) * support))

@@ -909,6 +909,29 @@ class TestOneGridCheck:
         assert _owners(meta_compare) == ["volume.require_same_grid"]
 
 
+class TestOneEvennessCheck:
+    """A spectrum's evenness is checked once: no ``np.array_equal`` compares
+    it with its ``k_mirror`` outside ``DipoleKernel.__post_init__``, so
+    ``spectral_filter`` takes a kernel and ``autodiff`` never imports the
+    mirror. Building an even spectrum with it (``build_dipole``, the gradcheck
+    draws) is no check."""
+
+    def test_mirror_compared_only_in_kernel(self):
+        def mirror_compare(node):
+            return (isinstance(node, ast.Call)
+                    and ast.unparse(node.func).rsplit(".", 1)[-1] == "array_equal"
+                    and any(isinstance(x, ast.Call) and ast.unparse(x.func) == "k_mirror"
+                            for arg in node.args for x in ast.walk(arg)))
+
+        assert _owners(mirror_compare) == ["dipole.DipoleKernel.__post_init__"]
+
+    def test_autodiff_does_not_import_mirror(self):
+        tree = ast.parse(Path(ad.__file__).read_text())
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        assert "k_mirror" not in imported
+
+
 class TestOneSizeRule:
     """The generator's size rule is written once: only
     ``Generator.require_divisible`` reads ``divisor``, so no other code takes
